@@ -43,7 +43,6 @@ from .domains import (
     UnitDisk,
 )
 from .errors import (
-    CapabilityError,
     CmetricError,
     DomainError,
     HypothesisError,
@@ -410,7 +409,7 @@ def main(argv=None) -> int:
     except (NumericError, OverflowError) as exc:
         print(f"cmetric: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (HypothesisError, DomainError, CapabilityError) as exc:
+    except (HypothesisError, DomainError) as exc:
         print(f"cmetric: hypothesis error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except CmetricError as exc:

@@ -7,9 +7,9 @@ k = tanh(M) < 1 improves the trivial comparison between the two metrics to
     c_ambient(x, y) <= k * c_inner(x, y)    for all x, y in the inner domain.
 
 :func:`diameter` produces a certificate (M, k) either from a closed form
-(disk-in-disk and concentric polydisk nestings) or from boundary-biased
-sampling; :func:`verify_nesting` then checks the strengthened inequality and
-the intermediate bound atanh(k * tanh(c_inner)) >= c_ambient pair by pair.
+(every supported nesting) or from boundary-biased sampling;
+:func:`verify_nesting` then checks the strengthened inequality and the
+intermediate bound atanh(k * tanh(c_inner)) >= c_ambient pair by pair.
 Only closed-form certificates certify: a sampled M under-estimates the sup,
 so a sampled k could make the inequality fail spuriously.
 
@@ -25,27 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (
-    PRECOMPACT_MARGIN,
-    AffineDiskImage,
-    Domain,
-    Point,
-    PointLike,
-    Polydisk,
-    SampleStream,
-    ScaledDisk,
-    UnitDisk,
-    as_point,
-)
+from .domains import PRECOMPACT_MARGIN, Domain, Point, PointLike, SampleStream, as_point
 from .errors import (
     BoundednessError,
-    CapabilityError,
     DomainError,
     HypothesisError,
     StructuralError,
 )
 from .holomaps import HoloMap
-from .metric_core import ATANH_GUARD, atanh_stable
+from .metric_core import ATANH_GUARD, atanh_stable, poincare_distance_many
 
 __all__ = [
     "ContractionCertificate",
@@ -186,28 +174,21 @@ def contraction_constant(M: float) -> float:
 # -- closed-form diameters ---------------------------------------------------
 
 
-def _disk_data(domain: Domain) -> tuple[complex, float] | None:
-    """(center, radius) for 1-dimensional disk-shaped kinds, else None."""
-    if isinstance(domain, UnitDisk):
-        return 0j, 1.0
-    if isinstance(domain, ScaledDisk):
-        return 0j, domain.radius
-    if isinstance(domain, AffineDiskImage):
-        return domain.center, domain.radius
-    if isinstance(domain, Polydisk) and domain.dim == 1:
-        return 0j, domain.radii[0]
-    return None
+def _closed_form_tanh_diameter(ambient: Domain, inner: Domain, margin: float) -> float:
+    """tanh(M) for the inner domain in the ambient metric, for any pair of charts.
 
-
-def _nested_tanh_halfdiameter(offset: float, rho: float, margin: float) -> float:
-    """tanh(M) for a disk of normalized center offset and radius inside the unit disk.
-
-    The inner disk is a hyperbolic ball; its hyperbolic diameter is realized
-    along the diameter line through the origin, giving
-    tanh(M) = 2 rho / (1 - offset^2 + rho^2).  Concentric nesting reduces to
-    tanh(2 atanh rho) = 2 rho / (1 + rho^2), the double-angle identity.
+    In ambient model coordinates the inner domain is T·Δⁿ + c with
+    T = A_amb^-1 A_in and c = A_amb^-1 (b_in - b_amb).  The ambient distance
+    is the coordinatewise maximum of Poincare distances and inner points vary
+    independently, so M is the largest hyperbolic diameter of the coordinate
+    projections: the disks of center c_i and radius R_i = sum_j |T_ij|.  Such
+    a disk is a hyperbolic ball whose diameter is realized along the line
+    through the origin, giving tanh(M_i) = 2 R_i / (1 - |c_i|^2 + R_i^2);
+    concentric nesting reduces to tanh(2 atanh R_i), the double-angle identity.
     """
-    reach = offset + rho
+    transform, center = ambient._relative_chart(inner)
+    coords = [(abs(c), sum(map(abs, row))) for c, row in zip(center.tolist(), transform.tolist())]
+    reach = max(offset + radius for offset, radius in coords)
     if reach > 1.0:
         raise HypothesisError(
             f"inner domain is not contained in the ambient one (normalized reach {reach:.6g} > 1)"
@@ -221,32 +202,8 @@ def _nested_tanh_halfdiameter(offset: float, rho: float, margin: float) -> float
             f"inner domain is nested with margin {1.0 - reach:.3g}, below the "
             f"required precompactness margin {margin:.3g}"
         )
-    return 2.0 * rho / (1.0 - offset * offset + rho * rho)
-
-
-def _closed_form_tanh_diameter(ambient: Domain, inner: Domain, margin: float) -> float:
-    ambient_disk = _disk_data(ambient)
-    inner_disk = _disk_data(inner)
-    if ambient_disk is not None and inner_disk is not None:
-        (ca, ra), (ci, ri) = ambient_disk, inner_disk
-        return _nested_tanh_halfdiameter(abs(ci - ca) / ra, ri / ra, margin)
-    if (
-        isinstance(ambient, Polydisk)
-        and isinstance(inner, Polydisk)
-        and ambient.dim == inner.dim
-    ):
-        # concentric polydisks: coordinatewise maximum of the 1-dim diameters
-        return max(
-            _nested_tanh_halfdiameter(0.0, ri / ra, margin)
-            for ri, ra in zip(inner.radii, ambient.radii)
-        )
-    if ambient.dim != inner.dim:
-        raise StructuralError(
-            f"dimension mismatch: ambient has {ambient.dim}, inner has {inner.dim}"
-        )
-    raise CapabilityError(
-        f"no closed-form diameter for {type(inner).__name__} inside "
-        f"{type(ambient).__name__}; pass a SampleStream for a sampled estimate"
+    return max(
+        2.0 * radius / (1.0 - offset * offset + radius * radius) for offset, radius in coords
     )
 
 
@@ -266,33 +223,21 @@ def _boundary_biased_pairs(
     radial = draws[:, :, 0, :] ** (1.0 / BOUNDARY_BIAS) * (1.0 - stream.boundary_margin)
     angle = 2.0 * np.pi * draws[:, :, 1, :]
     model = radial * np.exp(1j * angle)
-    xs = domain._push_model_many(model[:, 0, :])
-    ys = domain._push_model_many(model[:, 1, :])
-    return xs, ys
+    return domain._push(model[:, 0, :]), domain._push(model[:, 1, :])
 
 
 def _sampled_diameters(
     ambient: Domain, inner: Domain, stream: SampleStream, margin: float
 ) -> np.ndarray:
-    if ambient.dim != inner.dim:
-        raise StructuralError(
-            f"dimension mismatch: ambient has {ambient.dim}, inner has {inner.dim}"
-        )
-    if not ambient.closed_form_capable:
-        raise CapabilityError(
-            "sampled diameters need an exact ambient distance; "
-            f"{type(ambient).__name__} does not provide one"
-        )
     xs, ys = _boundary_biased_pairs(inner, stream)
-    for arr, what in ((xs, "inner samples"), (ys, "inner samples")):
-        ok = ambient.contains_many(arr, margin)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise HypothesisError(
-                f"{what}[{i}] = {tuple(arr[i])!r} does not lie in the ambient domain "
-                f"with margin {margin:g}; the nesting hypothesis fails"
-            )
-    return ambient.caratheodory_many(xs, ys)
+    try:
+        mx = ambient._pull_members(xs, "inner samples", margin)
+        my = ambient._pull_members(ys, "inner samples", margin)
+    except DomainError as exc:
+        raise HypothesisError(
+            f"{exc} with margin {margin:g}; the nesting hypothesis fails"
+        ) from exc
+    return poincare_distance_many(mx, my).max(axis=1)
 
 
 def diameter(
@@ -305,17 +250,21 @@ def diameter(
 ) -> ContractionCertificate:
     """Diameter of ``inner`` in the ambient Caratheodory metric, as a certificate.
 
-    With ``stream=None`` the exact closed form is used (disk-shaped kinds
-    nested in disk-shaped kinds, and concentric polydisks); otherwise the
-    maximum distance over ``stream.count`` boundary-biased sampled pairs is
-    reported with ``method="sampled"``.  Sampled estimates approach the true
-    diameter from below and never certify the nesting inequality.
+    With ``stream=None`` the exact closed form is used (every supported
+    nesting); otherwise the maximum distance over ``stream.count``
+    boundary-biased sampled pairs is reported with ``method="sampled"``.
+    Sampled estimates approach the true diameter from below and never certify
+    the nesting inequality.
 
     Raises :class:`HypothesisError` when the inner domain is not nested with
     at least ``precompact_margin``, and :class:`BoundednessError` when the
     diameter is infinite, exceeds ``cap``, or is so large that tanh(M)
     rounds to 1.
     """
+    if ambient.dim != inner.dim:
+        raise StructuralError(
+            f"dimension mismatch: ambient has {ambient.dim}, inner has {inner.dim}"
+        )
     if stream is None:
         q = _closed_form_tanh_diameter(ambient, inner, precompact_margin)
         if q >= 1.0 - ATANH_GUARD:
@@ -400,8 +349,6 @@ def verify_nesting(
     ties).  Requires a closed-form certificate: a sampled k under-estimates
     the true constant and would produce false violations.
     """
-    if not (ambient.closed_form_capable and inner.closed_form_capable):
-        raise CapabilityError("nesting verification needs exact distances on both domains")
     if cert.method != "closed_form":
         raise HypothesisError(
             "only closed-form certificates certify the nesting inequality; "

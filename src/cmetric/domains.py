@@ -1,19 +1,22 @@
 """Concrete open domains in C^n with exact Caratheodory distances.
 
-Every supported kind is an affine image of the open unit polydisk, so a single
-"model pullback" underlies membership tests, reproducible sampling, boundary
-proximity and the distance itself:
+Every supported kind is an affine image A·Δⁿ + b of the open unit polydisk
+Δⁿ and declares nothing but this chart:
 
-* unit disk               model coordinate  m = z
-* scaled disk (radius r)  m = z / r
-* affine disk image       m = (z - center) / radius
-* polydisk (radii r_i)    m_i = z_i / r_i
-* affine image            m = model coordinates of the base at A^-1 (z - b)
+* unit disk                  A = 1              b = 0
+* scaled disk (radius r)     A = r              b = 0
+* affine disk image          A = radius         b = center
+* polydisk (radii r_i)       A = diag(r_i)      b = 0
+* affine image z -> M z + c  A = M A_base       b = M b_base + c
+  of a base domain
 
-In model coordinates the Caratheodory distance is the coordinatewise maximum
-of Poincare distances; for an invertible affine change of variables this is
-exact because biholomorphisms preserve the distance.  Domains are immutable
-and all operations are pure, so values are safe to share across threads.
+The model coordinates m = A^-1 (z - b) underlie membership tests,
+reproducible sampling, boundary proximity and the distance itself.  In model
+coordinates the Caratheodory distance is the coordinatewise maximum of
+Poincare distances (the product property of the polydisk); for an invertible
+affine change of variables this is exact because biholomorphisms preserve the
+distance.  Domains are immutable and all operations are pure, so values are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -117,29 +119,52 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
 
 
 class Domain(abc.ABC):
-    """Open subset of C^n with membership, sampling and exact distance."""
+    """Open subset A·Δⁿ + b of C^n with membership, sampling and exact distance.
+
+    Each kind declares only its chart (A, b) in :meth:`_chart`; everything
+    else works on model coordinates m = A^-1 (z - b) in the unit polydisk.
+    """
+
+    def __post_init__(self):
+        matrix, offset = self._chart()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            try:
+                inverse = 1.0 / matrix if len(matrix) == 1 else np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                inverse = None
+        if inverse is None or not np.isfinite(inverse).all():
+            raise StructuralError(f"{self!r} has an uninvertible chart")
+        # the one cached array: row 0 is b, the rows below it are A^-1 (or its diagonal)
+        object.__setattr__(self, "_pull_chart", np.concatenate((offset[None, :], inverse)))
+
+    @abc.abstractmethod
+    def _chart(self) -> tuple[np.ndarray, np.ndarray]:
+        """New complex arrays: the matrix A and the offset b of A·Δⁿ + b.
+
+        A diagonal A may be given as one row holding its diagonal.
+        """
 
     @property
-    @abc.abstractmethod
     def dim(self) -> int:
         """Complex dimension of the ambient space."""
+        return self._pull_chart.shape[1]
 
-    @property
-    def closed_form_capable(self) -> bool:
-        """True when :meth:`caratheodory` is exact for this kind.
+    def _pull(self, pts: np.ndarray) -> np.ndarray:
+        """Model coordinates A^-1 (z - b) of an (n, dim) array of points."""
+        return _apply(self._pull_chart[1:], pts - self._pull_chart[0])
 
-        All built-in kinds carry an exact formula; the flag exists so callers
-        can probe before requesting a distance.
-        """
-        return True
+    def _push(self, model: np.ndarray) -> np.ndarray:
+        """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""
+        matrix, offset = self._chart()
+        points = _apply(matrix, model)
+        points += offset
+        return points
 
-    @abc.abstractmethod
-    def _pull_model_many(self, pts: np.ndarray) -> np.ndarray:
-        """Map an (n, dim) array of ambient points to model coordinates."""
-
-    @abc.abstractmethod
-    def _push_model_many(self, model: np.ndarray) -> np.ndarray:
-        """Map an (n, dim) array of model coordinates to ambient points."""
+    def _relative_chart(self, other: Domain) -> tuple[np.ndarray, np.ndarray]:
+        """(T, c) = (A^-1 A_other, A^-1 (b_other - b)): ``other`` in model coordinates."""
+        matrix, offset = other._chart()
+        transform = _apply(self._pull_chart[1:], _full(matrix).T).T
+        return transform, self._pull(offset[None, :])[0]
 
     # -- membership ---------------------------------------------------------
 
@@ -166,8 +191,7 @@ class Domain(abc.ABC):
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
         arr = _points_array(pts, self.dim, "points")
-        model = self._pull_model_many(arr)
-        return np.abs(model).max(axis=1)
+        return np.abs(self._pull(arr)).max(axis=1)
 
     # -- sampling ------------------------------------------------------------
 
@@ -183,23 +207,20 @@ class Domain(abc.ABC):
         draws = rng.random((stream.count, 2, self.dim))
         radial = np.sqrt(draws[:, 0, :]) * (1.0 - stream.boundary_margin)
         angle = 2.0 * np.pi * draws[:, 1, :]
-        return self._push_model_many(radial * np.exp(1j * angle))
+        return self._push(radial * np.exp(1j * angle))
 
     # -- distance ------------------------------------------------------------
 
     def caratheodory(self, x: PointLike, y: PointLike) -> float:
         """Exact Caratheodory distance between two interior points.
 
-        Unit disk: the Poincare distance.  Scaled/affine disk images: the
-        Poincare distance of the model coordinates.  Polydisks: the maximum
-        over coordinates.  Affine images: the distance of the base domain at
-        the pulled-back points.
+        The maximum over coordinates of the Poincare distances of the model
+        coordinates: the product property of the unit polydisk, carried to
+        every kind by its affine chart, which is a biholomorphism.
         """
         xs = _points_array([as_point(x, self.dim, what="x")], self.dim, "x")
         ys = _points_array([as_point(y, self.dim, what="y")], self.dim, "y")
-        self._require_member(xs, "x")
-        self._require_member(ys, "y")
-        return float(self._distance_arrays(xs, ys)[0])
+        return float(self._distance(xs, ys, "x", "y")[0])
 
     def caratheodory_many(self, xs, ys) -> np.ndarray:
         """Vectorized :meth:`caratheodory` over two (n, dim) point arrays."""
@@ -207,45 +228,47 @@ class Domain(abc.ABC):
         ya = _points_array(ys, self.dim, "ys")
         if xa.shape[0] != ya.shape[0]:
             raise StructuralError("point arrays must have matching lengths")
-        self._require_member(xa, "xs")
-        self._require_member(ya, "ys")
-        return self._distance_arrays(xa, ya)
+        return self._distance(xa, ya, "xs", "ys")
 
-    def _require_member(self, arr: np.ndarray, what: str) -> None:
-        if not self.closed_form_capable:
-            raise CapabilityError(
-                f"{type(self).__name__} has no exact distance; use a witness-based "
-                "lower bound (contraction.witness_lower_bound) instead"
-            )
-        inside = self.contains_many(arr, 0.0)
+    def _distance(self, xa: np.ndarray, ya: np.ndarray, xname: str, yname: str) -> np.ndarray:
+        mx = self._pull_members(xa, xname)
+        my = self._pull_members(ya, yname)
+        return poincare_distance_many(mx, my).max(axis=1)
+
+    def _pull_members(self, arr: np.ndarray, what: str, margin: float = 0.0) -> np.ndarray:
+        """Model coordinates of ``arr``, which must lie inside with ``margin``."""
+        model = self._pull(arr)
+        inside = np.abs(model) < 1.0 - margin
         if not inside.all():
-            i = int(np.argmin(inside))
+            i = int(np.argmin(inside.all(axis=1)))
             raise DomainError(
                 f"{what}[{i}] = {tuple(arr[i])!r} is not inside {self.describe()}"
             )
-
-    def _distance_arrays(self, xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
-        mx = self._pull_model_many(xa)
-        my = self._pull_model_many(ya)
-        return poincare_distance_many(mx, my).max(axis=1)
+        return model
 
     def describe(self) -> str:
         return repr(self)
+
+
+def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A x for each row x of ``rows``; a diagonal A, given as one row, scales ``rows`` in place."""
+    if len(matrix) > 1:
+        return rows @ matrix.T
+    rows *= matrix
+    return rows
+
+
+def _full(matrix: np.ndarray) -> np.ndarray:
+    """The square form of a chart matrix given as its diagonal row."""
+    return np.diag(matrix[0]) if len(matrix) == 1 else matrix
 
 
 @dataclass(frozen=True)
 class UnitDisk(Domain):
     """The open unit disk in C."""
 
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def _pull_model_many(self, pts):
-        return pts
-
-    def _push_model_many(self, model):
-        return model
+    def _chart(self):
+        return np.ones((1, 1), dtype=complex), np.zeros(1, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -259,16 +282,10 @@ class ScaledDisk(Domain):
         if math.isnan(r) or not 0.0 < r < 1.0:
             raise StructuralError(f"scaled disk radius must lie in (0, 1): {self.radius!r}")
         object.__setattr__(self, "radius", r)
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def _pull_model_many(self, pts):
-        return pts / self.radius
-
-    def _push_model_many(self, model):
-        return model * self.radius
+    def _chart(self):
+        return np.array([[self.radius]], dtype=complex), np.zeros(1, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -290,16 +307,10 @@ class AffineDiskImage(Domain):
             raise StructuralError(f"disk radius must be finite and > 0: {self.radius!r}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def _pull_model_many(self, pts):
-        return (pts - self.center) / self.radius
-
-    def _push_model_many(self, model):
-        return self.center + model * self.radius
+    def _chart(self):
+        return np.array([[self.radius]], dtype=complex), np.array([self.center])
 
 
 @dataclass(frozen=True)
@@ -319,20 +330,10 @@ class Polydisk(Domain):
             if math.isnan(r) or not r > 0.0 or math.isinf(r):
                 raise StructuralError(f"polydisk radii must be finite and > 0: {r!r}")
         object.__setattr__(self, "radii", radii)
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return len(self.radii)
-
-    @cached_property
-    def _radii_row(self) -> np.ndarray:
-        return np.asarray(self.radii, dtype=float)[None, :]
-
-    def _pull_model_many(self, pts):
-        return pts / self._radii_row
-
-    def _push_model_many(self, model):
-        return model * self._radii_row
+    def _chart(self):
+        return np.array([self.radii], dtype=complex), np.zeros(len(self.radii), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -369,37 +370,17 @@ class AffineImage(Domain):
             raise StructuralError(
                 f"affine matrix is singular or too ill-conditioned (cond={cond:.3g})"
             )
+        super().__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def closed_form_capable(self) -> bool:
-        return self.base.closed_form_capable
-
-    @cached_property
-    def _mat(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=complex)
-
-    @cached_property
-    def _inv(self) -> np.ndarray:
-        return np.linalg.inv(self._mat)
-
-    @cached_property
-    def _off(self) -> np.ndarray:
-        return np.asarray(self.offset, dtype=complex)[None, :]
-
-    def _pull_model_many(self, pts):
-        return self.base._pull_model_many((pts - self._off) @ self._inv.T)
-
-    def _push_model_many(self, model):
-        return self.base._push_model_many(model) @ self._mat.T + self._off
+    def _chart(self):
+        base_matrix, base_offset = self.base._chart()
+        matrix = np.asarray(self.matrix, dtype=complex)
+        return matrix @ _full(base_matrix), matrix @ base_offset + np.asarray(self.offset)
 
     def pullback(self, p: PointLike) -> Point:
         """Preimage of ``p`` in the base domain."""
         arr = _points_array([as_point(p, self.dim)], self.dim, "point")
-        return tuple(((arr - self._off) @ self._inv.T)[0])
+        return tuple(self.base._push(self._pull(arr))[0])
 
 
 def pullback_isometry_check(domain: Domain, x: PointLike, y: PointLike) -> float:
@@ -414,7 +395,7 @@ def pullback_isometry_check(domain: Domain, x: PointLike, y: PointLike) -> float
         arr = _points_array(
             [as_point(x, 1, what="x"), as_point(y, 1, what="y")], 1, "points"
         )
-        pulled = domain._pull_model_many(arr)
+        pulled = domain._pull(arr)
         bx, by = tuple(pulled[0]), tuple(pulled[1])
     elif isinstance(domain, AffineImage):
         base = domain.base

@@ -27,7 +27,8 @@ class StructuralError(CmetricError, ValueError):
 
 class CapabilityError(CmetricError):
     """The requested operation is not available for this domain kind
-    (e.g. no exact distance formula for the configuration)."""
+    (e.g. random self-maps of an affine image, or a pullback isometry check
+    on a kind that is not an affine image)."""
 
 
 class HypothesisError(CmetricError):

@@ -192,6 +192,29 @@ def test_verify_nesting_report(tmp_path, capsys):
     assert report["pairs_checked"] == 2000
 
 
+def test_affine_image_nesting_has_a_closed_form(tmp_path, capsys):
+    spec = {
+        "ambient": {"kind": "polydisk", "radii": [1.0, 1.0]},
+        "inner": {
+            "kind": "affine_image",
+            "base": {"kind": "polydisk", "radii": [0.5, 0.5]},
+            "matrix": [[1, 0.3], [[0, 0.2], 1]],
+            "offset": [0.1, 0],
+        },
+    }
+    path = _write(tmp_path / "a.json", spec)
+    code, out = _run(capsys, ["diameter", "--input", path])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["method"] == "closed_form"
+    assert float(cert["M"]) == pytest.approx(1.5913363881021, rel=1e-13)
+    code, out = _run(capsys, ["verify-nesting", "--input", path, "--samples", "2000"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["certificate"]["method"] == "closed_form"
+    assert float(report["report"]["max_violation"]) <= 1e-10
+
+
 def test_solve_report(tmp_path, capsys):
     spec = {
         "ambient": {"kind": "unit_disk"},

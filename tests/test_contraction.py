@@ -15,7 +15,6 @@ from cmetric import (
     AffineDiskImage,
     AffineImage,
     BoundednessError,
-    CapabilityError,
     ContractionCertificate,
     DomainError,
     HypothesisError,
@@ -47,6 +46,7 @@ TANH_ONE = 0.7615941559557649
 ATANH_03125 = 0.32331358246252623  # atanh(0.25 / 0.8)
 ATANH_QUARTER = 0.25541281188299536
 K_TIMES_ATANH_HALF = 0.4394449154672439  # 0.8 * atanh(0.5)
+M_PROBE = 1.5913363881021  # atanh(1.3 / 1.4125), mpmath oracle
 
 
 # -- certificate type --------------------------------------------------------------
@@ -170,8 +170,68 @@ def test_diameter_dimension_and_capability_errors():
     with pytest.raises(StructuralError):
         diameter(UnitDisk(), Polydisk((0.3, 0.3)))
     rotated = AffineImage(base=Polydisk((1.0, 1.0)), matrix=((0, 1), (1, 0)), offset=(0, 0))
-    with pytest.raises(CapabilityError):
-        diameter(rotated, Polydisk((0.3, 0.3)))
+    # the rotated unit bidisk is the bidisk itself
+    assert diameter(rotated, Polydisk((0.3, 0.3))).k == pytest.approx(K_POLYDISK_03, rel=1e-15)
+
+
+# -- the general closed form ----------------------------------------------------------
+
+
+def _probe_inner(offset=(0.1, 0), matrix=((1, 0.3), (0.2j, 1))):
+    return AffineImage(Polydisk((0.5, 0.5)), matrix, offset)
+
+
+def test_non_diagonal_affine_image_has_a_closed_form():
+    # reach 0.75; coordinate 0 dominates: tanh M = 2 * 0.65 / (1 - 0.1^2 + 0.65^2)
+    ambient, inner = Polydisk((1.0, 1.0)), _probe_inner()
+    cert = diameter(ambient, inner)
+    assert cert.method == "closed_form"
+    assert cert.M == pytest.approx(M_PROBE, rel=1e-13)
+    sampled = diameter(
+        ambient, inner, SampleStream(seed=1, count=400_000, boundary_margin=1e-6)
+    )
+    assert sampled.M <= cert.M
+    assert cert.M - sampled.M <= 2e-3
+    report = verify_nesting(ambient, inner, cert, SampleStream(seed=1, count=10_000))
+    assert report.max_violation <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_bounds_sampled_sup_for_random_affine_images(dim):
+    rng = np.random.default_rng(2024 + dim)
+    nested = 0
+    while nested < 4:
+        ambient = Polydisk(tuple(rng.uniform(0.5, 2.0, dim)))
+        scale = rng.uniform(0.1, 0.6)
+        matrix = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        offset = 0.2 * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        inner = AffineImage(
+            Polydisk(tuple(rng.uniform(0.2, 1.0, dim))), tuple(map(tuple, matrix)), tuple(offset)
+        )
+        try:
+            cert = diameter(ambient, inner)
+        except HypothesisError:
+            continue
+        nested += 1
+        stream = SampleStream(seed=int(rng.integers(2**32)), count=100_000, boundary_margin=1e-6)
+        sampled = diameter(ambient, inner, stream)
+        assert sampled.M <= cert.M + 1e-12
+        assert cert.M - sampled.M <= 0.05 * cert.M
+
+
+def test_general_closed_form_nesting_errors():
+    ambient = Polydisk((1.0, 1.0))
+    with pytest.raises(HypothesisError):
+        diameter(ambient, _probe_inner(offset=(0.4, 0)))  # reach 0.4 + 0.5 + 0.15 = 1.05
+    with pytest.raises(HypothesisError):
+        diameter(ambient, _probe_inner(matrix=((1, 0.9), (0, 1))))  # 0.1 + 0.5 + 0.45
+    with pytest.raises(HypothesisError):
+        diameter(ambient, _probe_inner(offset=(0.6, 0), matrix=((1, 0), (0, 1))))  # reach 1.1
+    with pytest.raises(BoundednessError):
+        diameter(ambient, _probe_inner(offset=(0.5, 0), matrix=((1, 0), (0, 1))))  # reach 1
+    with pytest.raises(HypothesisError):
+        # reach 1 - 1e-7, inside the default precompactness margin of 1e-6
+        diameter(ambient, _probe_inner(offset=(0.4999999, 0), matrix=((1, 0), (0, 1))))
 
 
 # -- sampled diameters -----------------------------------------------------------------

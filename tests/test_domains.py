@@ -129,6 +129,18 @@ def test_domain_constructor_validation():
         AffineImage(base=UnitDisk(), matrix=((0,),), offset=(0,))  # singular
     with pytest.raises(StructuralError):
         AffineImage(base=Polydisk((1, 1)), matrix=((1, 0),), offset=(0, 0))
+    # subnormal radii: the chart inverse overflows, so the chart is rejected
+    with pytest.raises(StructuralError):
+        ScaledDisk(1e-310)
+    with pytest.raises(StructuralError):
+        AffineDiskImage(0.5, 1e-310)
+    with pytest.raises(StructuralError):
+        Polydisk((1.0, 1e-310))
+    with pytest.raises(StructuralError):
+        # each matrix is well conditioned, but the composed chart underflows to 0
+        AffineImage(base=ScaledDisk(1e-200), matrix=((1e-200,),), offset=(0,))
+    # tiny but invertible charts are kept and contain their own center
+    assert ScaledDisk(1e-300).caratheodory(0, 5e-301) > 0.0
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -255,17 +267,6 @@ def test_distance_requires_membership():
         ScaledDisk(0.5).caratheodory(0.6, 0)
     with pytest.raises(DomainError):
         Polydisk((1.0, 0.5)).caratheodory((0.2, 0.6), (0, 0))
-
-
-def test_closed_form_flag_is_true_for_builtin_kinds():
-    kinds = [
-        UnitDisk(),
-        ScaledDisk(0.3),
-        AffineDiskImage(0.1, 2.0),
-        Polydisk((2.0, 0.5)),
-        AffineImage(base=UnitDisk(), matrix=((2.0,),), offset=(1.0,)),
-    ]
-    assert all(d.closed_form_capable for d in kinds)
 
 
 # -- pullback isometry --------------------------------------------------------------
