@@ -28,7 +28,6 @@ from .metric_core import (
     atanh_derivative,
     atanh_second_derivative,
     convexity_margin,
-    mobius_centering,
     poincare_distance,
     poincare_distance_many,
 )
@@ -42,7 +41,6 @@ from .domains import (
     ScaledDisk,
     UnitDisk,
     as_point,
-    pullback_isometry_check,
 )
 from .holomaps import (
     Affine,
@@ -94,7 +92,6 @@ __all__ = [
     "atanh_derivative",
     "atanh_second_derivative",
     "convexity_margin",
-    "mobius_centering",
     "poincare_distance",
     "poincare_distance_many",
     # domains
@@ -107,7 +104,6 @@ __all__ = [
     "AffineDiskImage",
     "Polydisk",
     "AffineImage",
-    "pullback_isometry_check",
     # holomorphic maps
     "HoloMap",
     "Identity",

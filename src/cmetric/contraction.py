@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import PRECOMPACT_MARGIN, Domain, Point, PointLike, SampleStream, as_point
+from .domains import (
+    PRECOMPACT_MARGIN,
+    Domain,
+    Point,
+    PointLike,
+    SampleStream,
+    _sample_pairs,
+    as_point,
+)
 from .errors import (
     BoundednessError,
     DomainError,
@@ -55,8 +63,6 @@ DIAMETER_CAP = 20.0
 # sup of the distance is approached at antipodal near-boundary points, and
 # uniform sampling converges far too slowly to the diameter.
 BOUNDARY_BIAS = 2000.0
-
-_SEED_SALT = 0x9E3779B97F4A7C15  # splits one stream seed into independent batches
 
 
 def _fmt17(x: float) -> str:
@@ -326,14 +332,6 @@ def witness_lower_bound(f: HoloMap, x: PointLike, y: PointLike, k: float) -> flo
 # -- verification ----------------------------------------------------------------
 
 
-def _derived_stream(stream: SampleStream, salt: int) -> SampleStream:
-    return SampleStream(
-        seed=(stream.seed ^ salt) % 2**64,
-        count=stream.count,
-        boundary_margin=stream.boundary_margin,
-    )
-
-
 def verify_nesting(
     ambient: Domain,
     inner: Domain,
@@ -354,8 +352,7 @@ def verify_nesting(
             "only closed-form certificates certify the nesting inequality; "
             "sampled diameters under-estimate k"
         )
-    xs = inner.sample(stream)
-    ys = inner.sample(_derived_stream(stream, _SEED_SALT))
+    xs, ys = _sample_pairs(inner, stream)
     c_ambient = ambient.caratheodory_many(xs, ys)
     c_inner = inner.caratheodory_many(xs, ys)
     k = cert.k

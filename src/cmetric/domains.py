@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .metric_core import poincare_distance_many
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "AffineDiskImage",
     "Polydisk",
     "AffineImage",
-    "pullback_isometry_check",
     "DEFAULT_BOUNDARY_MARGIN",
     "PRECOMPACT_MARGIN",
 ]
@@ -63,15 +62,15 @@ PRECOMPACT_MARGIN = 1e-6
 def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -> Point:
     """Coerce ``value`` to a tuple of finite complex coordinates.
 
-    Scalars are accepted as 1-dimensional points.  If ``dim`` is given, the
-    coordinate count must match.
+    Scalars are accepted as 1-dimensional points; text is not a point.  If
+    ``dim`` is given, the coordinate count must match.
     """
     if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
         coords = (complex(value),)
     else:
         try:
-            coords = tuple(complex(c) for c in value)
-        except TypeError:
+            coords = tuple(complex(_not_text(c)) for c in _not_text(value))
+        except (TypeError, ValueError):
             raise StructuralError(f"{what} is not a scalar or coordinate sequence: {value!r}")
     if not coords:
         raise StructuralError(f"{what} has no coordinates")
@@ -81,6 +80,12 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
     if dim is not None and len(coords) != dim:
         raise StructuralError(f"{what} has dimension {len(coords)}, expected {dim}")
     return coords
+
+
+def _not_text(value):
+    if isinstance(value, (str, bytes)):
+        raise TypeError("text is not a number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,22 @@ class SampleStream:
             )
 
 
+def _sample_pairs(domain: Domain, stream: SampleStream) -> tuple[np.ndarray, np.ndarray]:
+    """Independent samples from ``stream`` and from its seed XOR a fixed salt: the pair rule."""
+    partner = SampleStream(stream.seed ^ 0x9E3779B97F4A7C15, stream.count, stream.boundary_margin)
+    return domain.sample(stream), domain.sample(partner)
+
+
 def _points_array(pts, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(pts, dtype=complex)
+    try:
+        arr = np.asarray(pts)
+        kind = arr.dtype.kind
+        text = kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+        if kind not in "biufcO" or text:
+            raise TypeError(f"{arr.dtype} entries are not numbers")
+        arr = arr.astype(complex, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{what}: not an array of numeric points: {exc}") from None
     if arr.ndim == 1:
         arr = arr[:, None] if dim == 1 else arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -174,22 +193,19 @@ class Domain(abc.ABC):
         The proximity proxy is the max modulus of the model coordinates; the
         test is ``max_i |m_i| < 1 - margin`` (strict: domains are open).
         """
-        pt = as_point(p, self.dim)
-        return bool(self.contains_many([pt], margin)[0])
+        return bool(self._inside(np.array([as_point(p, self.dim)]), margin)[0])
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
+        return self._inside(_points_array(pts, self.dim, "points"), margin)
+
+    def _inside(self, arr: np.ndarray, margin: float) -> np.ndarray:
         margin = float(margin)
         if math.isnan(margin) or margin < 0.0:
             raise DomainError(f"membership margin must be >= 0: {margin!r}")
-        prox = self.boundary_proximity_many(pts)
-        return prox < 1.0 - margin
-
-    def boundary_proximity(self, p: PointLike) -> float:
-        """0 at the center, approaching 1 at the boundary, >= 1 outside."""
-        pt = as_point(p, self.dim)
-        return float(self.boundary_proximity_many([pt])[0])
+        return np.abs(self._pull(arr)).max(axis=1) < 1.0 - margin
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
+        """0 at the center, approaching 1 at the boundary, >= 1 outside."""
         arr = _points_array(pts, self.dim, "points")
         return np.abs(self._pull(arr)).max(axis=1)
 
@@ -218,8 +234,8 @@ class Domain(abc.ABC):
         coordinates: the product property of the unit polydisk, carried to
         every kind by its affine chart, which is a biholomorphism.
         """
-        xs = _points_array([as_point(x, self.dim, what="x")], self.dim, "x")
-        ys = _points_array([as_point(y, self.dim, what="y")], self.dim, "y")
+        xs = np.array([as_point(x, self.dim, what="x")])
+        ys = np.array([as_point(y, self.dim, what="y")])
         return float(self._distance(xs, ys, "x", "y")[0])
 
     def caratheodory_many(self, xs, ys) -> np.ndarray:
@@ -242,12 +258,9 @@ class Domain(abc.ABC):
         if not inside.all():
             i = int(np.argmin(inside.all(axis=1)))
             raise DomainError(
-                f"{what}[{i}] = {tuple(arr[i])!r} is not inside {self.describe()}"
+                f"{what}[{i}] = {tuple(arr[i])!r} is not inside {self!r}"
             )
         return model
-
-    def describe(self) -> str:
-        return repr(self)
 
 
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -379,31 +392,4 @@ class AffineImage(Domain):
 
     def pullback(self, p: PointLike) -> Point:
         """Preimage of ``p`` in the base domain."""
-        arr = _points_array([as_point(p, self.dim)], self.dim, "point")
-        return tuple(self.base._push(self._pull(arr))[0])
-
-
-def pullback_isometry_check(domain: Domain, x: PointLike, y: PointLike) -> float:
-    """|c_image(x, y) - c_base(pullback x, pullback y)| for affine image kinds.
-
-    Both sides are computed through their own public distance paths; the
-    discrepancy should sit at rounding level (<= 1e-12) because invertible
-    affine maps are isometries for the Caratheodory distance.
-    """
-    if isinstance(domain, AffineDiskImage):
-        base: Domain = UnitDisk()
-        arr = _points_array(
-            [as_point(x, 1, what="x"), as_point(y, 1, what="y")], 1, "points"
-        )
-        pulled = domain._pull(arr)
-        bx, by = tuple(pulled[0]), tuple(pulled[1])
-    elif isinstance(domain, AffineImage):
-        base = domain.base
-        bx, by = domain.pullback(x), domain.pullback(y)
-    else:
-        raise CapabilityError(
-            f"pullback isometry check applies to affine image kinds, not {type(domain).__name__}"
-        )
-    direct = domain.caratheodory(x, y)
-    pulled_dist = base.caratheodory(bx, by)
-    return abs(direct - pulled_dist)
+        return tuple(self.base._push(self._pull(np.array([as_point(p, self.dim)])))[0])

@@ -27,8 +27,7 @@ class StructuralError(CmetricError, ValueError):
 
 class CapabilityError(CmetricError):
     """The requested operation is not available for this domain kind
-    (e.g. random self-maps of an affine image, or a pullback isometry check
-    on a kind that is not an affine image)."""
+    (e.g. random self-maps of an affine image)."""
 
 
 class HypothesisError(CmetricError):

@@ -8,8 +8,9 @@ bounds: after stopping, the returned point is within
 ``last_step * k / (1 - k)`` of the true fixed point (a posteriori), and
 within ``k^n * d0 / (1 - k)`` after n steps from the start (a priori).
 
-Distances along the iteration are measured in the ambient metric, which is
-the metric the contraction statement lives in.
+A certificate is checked against the problem's own nesting, whose closed-form
+k it must not undercut.  Distances along the iteration are measured in the
+ambient metric, which is the metric the contraction statement lives in.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contraction import ContractionCertificate, _derived_stream, _SEED_SALT
-from .domains import Domain, Point, PointLike, SampleStream, as_point
+from .contraction import ContractionCertificate, diameter
+from .domains import Domain, Point, PointLike, SampleStream, _sample_pairs, as_point
 from .errors import (
     DomainError,
     HypothesisError,
@@ -122,6 +123,16 @@ def required_iterations(k: float, d0: float, tol: float) -> int:
     return max(0, math.ceil(ratio - 1e-12))
 
 
+def _require_certificate(ambient: Domain, inner: Domain, cert: ContractionCertificate) -> None:
+    """Raise :class:`HypothesisError` unless ``cert`` is closed-form with k >= this nesting's k."""
+    own = diameter(ambient, inner)
+    if cert.method != "closed_form" or cert.k < own.k:
+        raise HypothesisError(
+            f"the {cert.method} certificate with k={cert.k!r} does not certify this "
+            f"nesting, whose closed-form contraction constant is k={own.k!r}"
+        )
+
+
 def step_contraction_check(
     mapping: HoloMap,
     ambient: Domain,
@@ -131,13 +142,13 @@ def step_contraction_check(
 ) -> float:
     """Max over sampled pairs of c(f(x), f(y)) - k * c(x, y) in the ambient metric.
 
-    Nonpositive up to rounding for a valid setup.  Image points leaving the
-    inner domain raise :class:`HypothesisError`.
+    Nonpositive up to rounding for a valid setup.  ``cert`` is checked as in
+    :func:`solve`; it and image points leaving ``inner`` raise :class:`HypothesisError`.
     """
     if mapping.in_dim != ambient.dim or mapping.out_dim != ambient.dim:
         raise StructuralError("contraction check needs a self-map of the ambient domain")
-    xs = ambient.sample(stream)
-    ys = ambient.sample(_derived_stream(stream, _SEED_SALT))
+    _require_certificate(ambient, inner, cert)
+    xs, ys = _sample_pairs(ambient, stream)
     fxs = mapping.evaluate_many(xs)
     fys = mapping.evaluate_many(ys)
     for arr in (fxs, fys):
@@ -157,13 +168,13 @@ def solve(problem: FixedPointProblem, cert: ContractionCertificate) -> FixedPoin
 
     Stops once ``step * k / (1 - k) <= tolerance`` (the a posteriori tail
     bound of the geometric series) and returns the next iterate.  The
-    certificate must be closed-form for the problem's (ambient, inner) pair.
+    certificate is checked against the problem's own nesting: it must be
+    closed-form with a k no smaller than that nesting's closed-form k.
     Raises :class:`NonConvergenceError` with the recorded trace when the
-    budget runs out, and :class:`HypothesisError` when an iterate escapes.
+    budget runs out, and :class:`HypothesisError` when a hypothesis fails.
     """
-    if cert.method != "closed_form":
-        raise HypothesisError("fixed-point certification requires a closed-form certificate")
     ambient, inner, f = problem.ambient, problem.inner, problem.mapping
+    _require_certificate(ambient, inner, cert)
     x = problem.start
     if not ambient.contains(x, 0.0):
         raise DomainError(f"start {x!r} is not inside the ambient domain")
@@ -175,10 +186,7 @@ def solve(problem: FixedPointProblem, cert: ContractionCertificate) -> FixedPoin
     result_point: Point | None = None
     while True:
         x_next = f.evaluate(x)
-        if not ambient.contains(x_next, 0.0):
-            raise HypothesisError(
-                f"iterate {x_next!r} escaped the ambient domain at step {len(trace)}"
-            )
+        # the certificate check proved inner lies inside ambient, so this covers both
         if not inner.contains(x_next, 0.0):
             raise HypothesisError(
                 f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
@@ -226,11 +234,9 @@ def uniqueness_probe(
 
     All starts must converge to the same point up to the certified slack
     (2 * tolerance * k / (1 - k) plus rounding); a single start returns 0.
+    ``cert`` is checked against the problem's own nesting, as in :func:`solve`.
     """
-    points = [
-        solve(replace(problem, start=as_point(s, problem.ambient.dim, what="start")), cert).point
-        for s in starts
-    ]
+    points = [solve(replace(problem, start=s), cert).point for s in starts]
     spread = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):

@@ -5,10 +5,11 @@ inverse hyperbolic tangent on [0, 1), the Poincare distance
 
     omega(z, w) = atanh( |z - w| / |1 - conj(w) * z| ),
 
-and the disk automorphisms z -> (z - a) / (1 - conj(a) * z), which are
-isometries for omega.  The convexity margin r*x - atanh(r * tanh(x)) >= 0
-is the scalar inequality that turns a distance bound tanh(c) <= k into the
-linear bound c' <= k * c; it is exposed here so it can be checked directly.
+whose isometries are the disk automorphisms z -> (z - a) / (1 - conj(a) * z)
+(:class:`~cmetric.holomaps.Mobius`), and the convexity margin
+r*x - atanh(r * tanh(x)) >= 0, the scalar inequality that turns a distance
+bound tanh(c) <= k into the linear bound c' <= k * c; it is exposed here so
+it can be checked directly.
 
 All functions are pure; invalid inputs raise :class:`DomainError` rather than
 returning non-finite values.
@@ -29,7 +30,6 @@ __all__ = [
     "atanh_second_derivative",
     "poincare_distance",
     "poincare_distance_many",
-    "mobius_centering",
     "convexity_margin",
 ]
 
@@ -131,18 +131,6 @@ def poincare_distance_many(z, w) -> np.ndarray:
             "a pair of points is too close to the disk boundary for a finite distance"
         )
     return 0.5 * np.log1p(2.0 * t / (1.0 - t))
-
-
-def mobius_centering(a: complex):
-    """Disk automorphism z -> (z - a) / (1 - conj(a) z) sending ``a`` to 0.
-
-    Returns a :class:`~cmetric.holomaps.Mobius` map node, so the result can be
-    composed, evaluated and serialized like any other holomorphic map.
-    """
-    a = _require_in_disk(a, "a")
-    from .holomaps import Mobius  # deferred: holomaps depends on this module
-
-    return Mobius(a)
 
 
 def convexity_margin(r: float, x: float) -> float:

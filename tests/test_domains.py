@@ -14,7 +14,6 @@ from cmetric import (
     StructuralError,
     UnitDisk,
     as_point,
-    pullback_isometry_check,
 )
 
 mp.mp.dps = 40
@@ -46,6 +45,10 @@ def test_as_point_validates_dimension_and_finiteness():
         as_point(complex("nan"))
     with pytest.raises(DomainError):
         as_point([0.1, complex("inf")])
+    # text and unconvertible values are malformed points, not numbers
+    for bad in ("12", b"12", ["0.1"], [b"0.1"], [object()], [[0.1], 0.2]):
+        with pytest.raises(StructuralError):
+            as_point(bad)
 
 
 def test_sample_stream_validation():
@@ -104,6 +107,24 @@ def test_membership_dimension_mismatch():
         UnitDisk().contains((0.1, 0.2))
     with pytest.raises(StructuralError):
         Polydisk((1.0, 1.0)).contains(0.1)
+
+
+def test_malformed_points_are_structural_errors():
+    disk = UnitDisk()
+    for bad in ("abc", "0.1", b"0.1", [object()], [[0.1], [0.2, 0.3]]):
+        with pytest.raises(StructuralError):
+            disk.contains(bad)
+        with pytest.raises(StructuralError):
+            disk.caratheodory(0.0, bad)
+    for bad in ("0.1", ["0.1"], [b"0.1"], np.array(["0.1"]), [object()], [[0.1], [0.2, 0.3]]):
+        with pytest.raises(StructuralError):
+            disk.contains_many(bad)
+        with pytest.raises(StructuralError):
+            disk.caratheodory_many(bad, [0.2])
+    with pytest.raises(StructuralError):
+        disk.contains_many(np.array([0.1, "0.2"], dtype=object))
+    with pytest.raises(StructuralError):
+        Polydisk((1.0, 1.0)).contains_many([[0.1, 0.2], [0.3]])
 
 
 def test_membership_negative_margin_rejected():
@@ -272,6 +293,22 @@ def test_distance_requires_membership():
 # -- pullback isometry --------------------------------------------------------------
 
 
+def pullback_isometry_check(domain, x, y):
+    """|c_image(x, y) - c_base(pullback x, pullback y)| for an affine image kind.
+
+    Both sides go through their own public distance paths; invertible affine
+    maps are isometries for the Caratheodory distance, so the discrepancy
+    sits at rounding level.
+    """
+    if isinstance(domain, AffineDiskImage):
+        base = UnitDisk()
+        bx, by = ((as_point(p, 1)[0] - domain.center) / domain.radius for p in (x, y))
+    else:
+        base = domain.base
+        bx, by = domain.pullback(x), domain.pullback(y)
+    return abs(domain.caratheodory(x, y) - base.caratheodory(bx, by))
+
+
 def test_pullback_isometry_identity_affine_is_exact():
     dom = AffineImage(base=UnitDisk(), matrix=((1.0,),), offset=(0.0,))
     assert pullback_isometry_check(dom, 0.1, -0.3 + 0.2j) == 0.0
@@ -293,10 +330,3 @@ def test_pullback_isometry_random_affine_polydisk_image():
     ys = dom.sample(SampleStream(seed=67, count=100))
     for x, y in zip(xs, ys):
         assert pullback_isometry_check(dom, tuple(x), tuple(y)) <= 1e-12
-
-
-def test_pullback_isometry_rejects_plain_kinds():
-    from cmetric import CapabilityError
-
-    with pytest.raises(CapabilityError):
-        pullback_isometry_check(UnitDisk(), 0, 0.1)

@@ -1,10 +1,16 @@
 """Unit tests for the certified fixed-point solver."""
 
+import math
+from collections import Counter
+
+import mpmath as mp
 import pytest
 
 from cmetric import (
     AffineDiskImage,
     Compose,
+    ContractionCertificate,
+    Domain,
     DomainError,
     FixedPointProblem,
     HypothesisError,
@@ -25,6 +31,12 @@ from cmetric import (
 
 HALF_PLUS_QUARTER = Polynomial(((0.25, 0.5),))  # z -> z/2 + 1/4, fixed point 1/2
 QUARTER_DISK = AffineDiskImage(0.25, 0.55)  # contains the image disk D(1/4, 1/2)
+
+
+def _true_error(point):
+    """Poincare distance from ``point`` to the exact fixed point 1/2, by mpmath."""
+    z, w = mp.mpc(point[0]), mp.mpf(0.5)
+    return float(mp.atanh(abs((z - w) / (1 - w * z))))
 
 
 def _problem(tolerance=1e-11, max_iter=None):
@@ -210,6 +222,60 @@ def test_solve_rejects_sampled_certificates_and_bad_starts():
     )
     with pytest.raises(DomainError):
         solve(bad_start, cert)
+
+
+def test_certificate_of_another_nesting_is_rejected():
+    # k = tanh(2 atanh 0.2) = 0.385 belongs to ScaledDisk(0.2), not to D(1/4, 0.55),
+    # whose own k is 0.887; trusting it reported a bound of 8.1e-4 for an error of 1.3e-3
+    problem = _problem(tolerance=1e-3)
+    foreign = diameter(UnitDisk(), ScaledDisk(0.2))
+    assert foreign.method == "closed_form"
+    assert foreign.k < diameter(problem.ambient, problem.inner).k
+    with pytest.raises(HypothesisError):
+        solve(problem, foreign)
+    with pytest.raises(HypothesisError):
+        uniqueness_probe(problem, foreign, [(0.0,), (0.3j,)])
+    with pytest.raises(HypothesisError):
+        step_contraction_check(
+            HALF_PLUS_QUARTER, UnitDisk(), QUARTER_DISK, foreign, SampleStream(seed=3, count=100)
+        )
+
+
+def test_looser_closed_form_certificate_is_accepted_and_still_bounds():
+    problem = _problem(tolerance=1e-3)
+    own = diameter(problem.ambient, problem.inner)
+    M = own.M + 0.5
+    loose = ContractionCertificate(
+        M=M, k=math.tanh(M), method="closed_form", sample_count=0, seed=0
+    )
+    result = solve(problem, loose)
+    tight = solve(problem, own)
+    assert result.k_used == loose.k > own.k
+    assert result.certified_bound >= _true_error(result.point)
+    assert tight.certified_bound >= _true_error(tight.point)
+    assert result.iterations >= tight.iterations
+    gap = step_contraction_check(
+        HALF_PLUS_QUARTER, UnitDisk(), QUARTER_DISK, loose, SampleStream(seed=3, count=1000)
+    )
+    assert gap <= 1e-10
+
+
+def test_solve_makes_two_domain_calls_per_iteration(monkeypatch):
+    calls = Counter()
+    for name in ("contains", "caratheodory"):
+
+        def counted(self, *args, _name=name, _original=getattr(Domain, name), **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Domain, name, counted)
+    problem = _problem()
+    result = solve(problem, diameter(problem.ambient, problem.inner))
+    n = result.iterations
+    assert n > 1
+    # the start check, one membership test and one step distance per iteration, the residual
+    assert calls == {"contains": n + 1, "caratheodory": n + 1}
+    assert sum(calls.values()) == 2 * n + 2
 
 
 # -- step contraction check -----------------------------------------------------------

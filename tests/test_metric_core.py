@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from cmetric import (
     DomainError,
+    Mobius,
     atanh_derivative,
     atanh_second_derivative,
     atanh_stable,
     convexity_margin,
-    mobius_centering,
     poincare_distance,
     poincare_distance_many,
 )
@@ -152,17 +152,17 @@ def test_many_matches_scalar_to_rounding():
         assert vec[i] == pytest.approx(scalar, rel=1e-15, abs=1e-300)
 
 
-# -- mobius_centering ----------------------------------------------------------
+# -- Mobius centering ------------------------------------------------------------
 
 
 def test_centering_at_zero_is_identity():
-    m = mobius_centering(0)
+    m = Mobius(0)
     for z in (0.1, -0.4 + 0.2j, 0.7j):
         assert m.evaluate((z,))[0] == z
 
 
 def test_centering_sends_parameter_to_origin():
-    m = mobius_centering(0.5)
+    m = Mobius(0.5)
     assert m.evaluate((0.5,))[0] == 0.0
     assert m.evaluate((0.0,))[0] == -0.5
 
@@ -177,7 +177,7 @@ def test_centering_is_an_isometry():
     rng = np.random.default_rng(29)
     for _ in range(200):
         a, z, w = (0.95 * complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(3))
-        m = mobius_centering(a)
+        m = Mobius(a)
         mz = m.evaluate((z,))[0]
         mw = m.evaluate((w,))[0]
         d0 = poincare_distance(z, w)
@@ -187,7 +187,7 @@ def test_centering_is_an_isometry():
 @pytest.mark.parametrize("bad", [1.0, -1.0, 1.2 + 0.3j, complex("inf")])
 def test_centering_rejects_parameters_outside_disk(bad):
     with pytest.raises(DomainError):
-        mobius_centering(bad)
+        Mobius(bad)
 
 
 # -- convexity_margin ----------------------------------------------------------
