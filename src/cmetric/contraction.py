@@ -296,6 +296,25 @@ def diameter(
     return ContractionCertificate(M=M, k=k, method=method, sample_count=count, seed=seed)
 
 
+def _require_certificate(
+    ambient: Domain, inner: Domain, cert: ContractionCertificate | None
+) -> ContractionCertificate:
+    """``cert``, or this nesting's own certificate for ``None``.
+
+    Raises :class:`HypothesisError` unless ``cert`` is closed-form with a k no
+    smaller than the nesting's own: a smaller k would blame a correct nesting.
+    """
+    own = diameter(ambient, inner)
+    if cert is None:
+        return own
+    if cert.method != "closed_form" or cert.k < own.k:
+        raise HypothesisError(
+            f"the {cert.method} certificate with k={cert.k!r} does not certify this "
+            f"nesting, whose closed-form contraction constant is k={own.k!r}"
+        )
+    return cert
+
+
 # -- the witness lower bound ---------------------------------------------------
 
 
@@ -344,18 +363,13 @@ def verify_nesting(
     residuals ``c_ambient - k * c_inner`` and
     ``c_ambient - atanh(k * tanh(c_inner))`` and reports the maximum over all
     pairs and both forms, together with the worst pair (first index wins on
-    ties).  Requires a closed-form certificate: a sampled k under-estimates
-    the true constant and would produce false violations.
+    ties).  ``cert`` must certify this nesting: closed-form, with a k no
+    smaller than the nesting's own; a smaller k would produce false violations.
     """
-    if cert.method != "closed_form":
-        raise HypothesisError(
-            "only closed-form certificates certify the nesting inequality; "
-            "sampled diameters under-estimate k"
-        )
+    k = _require_certificate(ambient, inner, cert).k
     xs, ys = _sample_pairs(inner, stream)
     c_ambient = ambient.caratheodory_many(xs, ys)
     c_inner = inner.caratheodory_many(xs, ys)
-    k = cert.k
     linear = c_ambient - k * c_inner
     chained = c_ambient - np.arctanh(k * np.tanh(c_inner))
     per_pair = np.maximum(linear, chained)
@@ -368,7 +382,7 @@ def verify_nesting(
     return NestingReport(
         pairs_checked=stream.count,
         max_violation=float(per_pair[worst]),
-        worst_pair=(tuple(xs[worst]), tuple(ys[worst])),
+        worst_pair=(tuple(xs[worst].tolist()), tuple(ys[worst].tolist())),
         k_used=k,
         max_ratio=max_ratio,
     )

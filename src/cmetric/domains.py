@@ -15,13 +15,16 @@ reproducible sampling, boundary proximity and the distance itself.  In model
 coordinates the Caratheodory distance is the coordinatewise maximum of
 Poincare distances (the product property of the polydisk); for an invertible
 affine change of variables this is exact because biholomorphisms preserve the
-distance.  Domains are immutable and all operations are pure, so values are
-safe to share across threads.
+distance.  Scalar calls pull one point through a Python-complex copy of the
+chart, bit-identical to the bulk numpy path except where a full matrix (an
+affine image) rounds differently in the last bits.  Domains are immutable and
+all operations are pure, so values are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import abc
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -29,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .metric_core import poincare_distance_many
+from .metric_core import atanh_stable, poincare_distance_many, pseudo_hyperbolic
 
 __all__ = [
     "Point",
@@ -65,7 +68,9 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
     Scalars are accepted as 1-dimensional points; text is not a point.  If
     ``dim`` is given, the coordinate count must match.
     """
-    if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+    if type(value) is tuple and all(type(c) is complex for c in value):
+        coords = value
+    elif isinstance(value, (int, float, complex)) and not isinstance(value, bool):
         coords = (complex(value),)
     else:
         try:
@@ -75,7 +80,7 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
     if not coords:
         raise StructuralError(f"{what} has no coordinates")
     for c in coords:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        if not cmath.isfinite(c):
             raise DomainError(f"{what} has a non-finite coordinate: {c!r}")
     if dim is not None and len(coords) != dim:
         raise StructuralError(f"{what} has dimension {len(coords)}, expected {dim}")
@@ -155,6 +160,9 @@ class Domain(abc.ABC):
             raise StructuralError(f"{self!r} has an uninvertible chart")
         # the one cached array: row 0 is b, the rows below it are A^-1 (or its diagonal)
         object.__setattr__(self, "_pull_chart", np.concatenate((offset[None, :], inverse)))
+        # its scalar twin in Python complex: b, and the rows of A^-1 (or its diagonal)
+        scalar = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
+        object.__setattr__(self, "_scalar_chart", scalar)
 
     @abc.abstractmethod
     def _chart(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +179,14 @@ class Domain(abc.ABC):
     def _pull(self, pts: np.ndarray) -> np.ndarray:
         """Model coordinates A^-1 (z - b) of an (n, dim) array of points."""
         return _apply(self._pull_chart[1:], pts - self._pull_chart[0])
+
+    def _pull_point(self, p: Point) -> list[complex]:
+        """Model coordinates A^-1 (z - b) of one point, in Python complex arithmetic."""
+        offset, inverse = self._scalar_chart
+        shifted = [z - b for z, b in zip(p, offset)]
+        if len(inverse) == 1:
+            return [s * a for s, a in zip(shifted, inverse[0])]
+        return [sum(a * s for a, s in zip(row, shifted)) for row in inverse]
 
     def _push(self, model: np.ndarray) -> np.ndarray:
         """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""
@@ -193,16 +209,12 @@ class Domain(abc.ABC):
         The proximity proxy is the max modulus of the model coordinates; the
         test is ``max_i |m_i| < 1 - margin`` (strict: domains are open).
         """
-        return bool(self._inside(np.array([as_point(p, self.dim)]), margin)[0])
+        model, limit = self._pull_point(as_point(p, self.dim)), _limit(margin)
+        return all(abs(m) < limit for m in model)
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
-        return self._inside(_points_array(pts, self.dim, "points"), margin)
-
-    def _inside(self, arr: np.ndarray, margin: float) -> np.ndarray:
-        margin = float(margin)
-        if math.isnan(margin) or margin < 0.0:
-            raise DomainError(f"membership margin must be >= 0: {margin!r}")
-        return np.abs(self._pull(arr)).max(axis=1) < 1.0 - margin
+        arr = _points_array(pts, self.dim, "points")
+        return np.abs(self._pull(arr)).max(axis=1) < _limit(margin)
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
         """0 at the center, approaching 1 at the boundary, >= 1 outside."""
@@ -232,11 +244,16 @@ class Domain(abc.ABC):
 
         The maximum over coordinates of the Poincare distances of the model
         coordinates: the product property of the unit polydisk, carried to
-        every kind by its affine chart, which is a biholomorphism.
+        every kind by its affine chart, which is a biholomorphism.  atanh is
+        monotone, so it is applied once, to the largest modulus quotient.
         """
-        xs = np.array([as_point(x, self.dim, what="x")])
-        ys = np.array([as_point(y, self.dim, what="y")])
-        return float(self._distance(xs, ys, "x", "y")[0])
+        xp = as_point(x, self.dim, what="x")
+        yp = as_point(y, self.dim, what="y")
+        mx, my = self._pull_point(xp), self._pull_point(yp)
+        for what, p, model in (("x", xp, mx), ("y", yp, my)):
+            if not all(abs(m) < 1.0 for m in model):
+                raise DomainError(f"{what} = {p!r} is not inside {self!r}")
+        return atanh_stable(max(map(pseudo_hyperbolic, mx, my)))
 
     def caratheodory_many(self, xs, ys) -> np.ndarray:
         """Vectorized :meth:`caratheodory` over two (n, dim) point arrays."""
@@ -244,11 +261,7 @@ class Domain(abc.ABC):
         ya = _points_array(ys, self.dim, "ys")
         if xa.shape[0] != ya.shape[0]:
             raise StructuralError("point arrays must have matching lengths")
-        return self._distance(xa, ya, "xs", "ys")
-
-    def _distance(self, xa: np.ndarray, ya: np.ndarray, xname: str, yname: str) -> np.ndarray:
-        mx = self._pull_members(xa, xname)
-        my = self._pull_members(ya, yname)
+        mx, my = self._pull_members(xa, "xs"), self._pull_members(ya, "ys")
         return poincare_distance_many(mx, my).max(axis=1)
 
     def _pull_members(self, arr: np.ndarray, what: str, margin: float = 0.0) -> np.ndarray:
@@ -261,6 +274,14 @@ class Domain(abc.ABC):
                 f"{what}[{i}] = {tuple(arr[i])!r} is not inside {self!r}"
             )
         return model
+
+
+def _limit(margin: float) -> float:
+    """The bound 1 - margin on model moduli; the margin must be >= 0."""
+    margin = float(margin)
+    if math.isnan(margin) or margin < 0.0:
+        raise DomainError(f"membership margin must be >= 0: {margin!r}")
+    return 1.0 - margin
 
 
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -392,4 +413,5 @@ class AffineImage(Domain):
 
     def pullback(self, p: PointLike) -> Point:
         """Preimage of ``p`` in the base domain."""
-        return tuple(self.base._push(self._pull(np.array([as_point(p, self.dim)])))[0])
+        model = np.array([self._pull_point(as_point(p, self.dim))])
+        return tuple(self.base._push(model)[0].tolist())

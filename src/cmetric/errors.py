@@ -7,7 +7,14 @@ blowups and iteration failures apart.
 
 
 class CmetricError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``trace`` holds the steps an iteration recorded before it failed, if any.
+    """
+
+    def __init__(self, message: str, trace=()):
+        super().__init__(message)
+        self.trace = tuple(trace)
 
 
 class ParseError(CmetricError, ValueError):
@@ -52,7 +59,3 @@ class NonConvergenceError(CmetricError):
     error signals a violated hypothesis, since a valid contractive setup is
     guaranteed to converge.
     """
-
-    def __init__(self, message: str, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)

@@ -8,9 +8,9 @@ bounds: after stopping, the returned point is within
 ``last_step * k / (1 - k)`` of the true fixed point (a posteriori), and
 within ``k^n * d0 / (1 - k)`` after n steps from the start (a priori).
 
-A certificate is checked against the problem's own nesting, whose closed-form
-k it must not undercut.  Distances along the iteration are measured in the
-ambient metric, which is the metric the contraction statement lives in.
+A certificate is derived from the problem's own nesting, or checked against
+it: it must not undercut that nesting's closed-form k.  Distances are measured
+in the ambient metric, which is the metric the contraction statement lives in.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contraction import ContractionCertificate, diameter
+from .contraction import ContractionCertificate, _require_certificate
 from .domains import Domain, Point, PointLike, SampleStream, _sample_pairs, as_point
 from .errors import (
     DomainError,
@@ -123,31 +123,21 @@ def required_iterations(k: float, d0: float, tol: float) -> int:
     return max(0, math.ceil(ratio - 1e-12))
 
 
-def _require_certificate(ambient: Domain, inner: Domain, cert: ContractionCertificate) -> None:
-    """Raise :class:`HypothesisError` unless ``cert`` is closed-form with k >= this nesting's k."""
-    own = diameter(ambient, inner)
-    if cert.method != "closed_form" or cert.k < own.k:
-        raise HypothesisError(
-            f"the {cert.method} certificate with k={cert.k!r} does not certify this "
-            f"nesting, whose closed-form contraction constant is k={own.k!r}"
-        )
-
-
 def step_contraction_check(
     mapping: HoloMap,
     ambient: Domain,
     inner: Domain,
-    cert: ContractionCertificate,
+    cert: ContractionCertificate | None,
     stream: SampleStream,
 ) -> float:
     """Max over sampled pairs of c(f(x), f(y)) - k * c(x, y) in the ambient metric.
 
-    Nonpositive up to rounding for a valid setup.  ``cert`` is checked as in
+    Nonpositive up to rounding for a valid setup.  ``cert`` is handled as in
     :func:`solve`; it and image points leaving ``inner`` raise :class:`HypothesisError`.
     """
     if mapping.in_dim != ambient.dim or mapping.out_dim != ambient.dim:
         raise StructuralError("contraction check needs a self-map of the ambient domain")
-    _require_certificate(ambient, inner, cert)
+    k = _require_certificate(ambient, inner, cert).k
     xs, ys = _sample_pairs(ambient, stream)
     fxs = mapping.evaluate_many(xs)
     fys = mapping.evaluate_many(ys)
@@ -159,26 +149,27 @@ def step_contraction_check(
                 f"image point {tuple(arr[i])!r} escapes the inner domain; "
                 "the containment hypothesis fails"
             )
-    gaps = ambient.caratheodory_many(fxs, fys) - cert.k * ambient.caratheodory_many(xs, ys)
+    gaps = ambient.caratheodory_many(fxs, fys) - k * ambient.caratheodory_many(xs, ys)
     return float(gaps.max())
 
 
-def solve(problem: FixedPointProblem, cert: ContractionCertificate) -> FixedPointResult:
+def solve(
+    problem: FixedPointProblem, cert: ContractionCertificate | None = None
+) -> FixedPointResult:
     """Iterate to the unique fixed point with certified error control.
 
     Stops once ``step * k / (1 - k) <= tolerance`` (the a posteriori tail
-    bound of the geometric series) and returns the next iterate.  The
-    certificate is checked against the problem's own nesting: it must be
-    closed-form with a k no smaller than that nesting's closed-form k.
-    Raises :class:`NonConvergenceError` with the recorded trace when the
-    budget runs out, and :class:`HypothesisError` when a hypothesis fails.
+    bound of the geometric series) and returns the next iterate.  ``None``
+    uses the closed-form certificate of the problem's own nesting; a ``cert``
+    passed in must be closed-form with a k no smaller than that one's.
+    Raises :class:`NonConvergenceError` when the budget runs out, and
+    :class:`HypothesisError` when a hypothesis fails, each with the trace so far.
     """
     ambient, inner, f = problem.ambient, problem.inner, problem.mapping
-    _require_certificate(ambient, inner, cert)
+    k = _require_certificate(ambient, inner, cert).k
     x = problem.start
     if not ambient.contains(x, 0.0):
         raise DomainError(f"start {x!r} is not inside the ambient domain")
-    k = cert.k
     factor = k / (1.0 - k)
     tol = problem.tolerance
     trace: list[float] = []
@@ -190,7 +181,8 @@ def solve(problem: FixedPointProblem, cert: ContractionCertificate) -> FixedPoin
         if not inner.contains(x_next, 0.0):
             raise HypothesisError(
                 f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
-                "the image containment hypothesis fails"
+                "the image containment hypothesis fails",
+                trace,
             )
         step = ambient.caratheodory(x, x_next)
         trace.append(step)
@@ -211,7 +203,8 @@ def solve(problem: FixedPointProblem, cert: ContractionCertificate) -> FixedPoin
     if residual > tol:
         raise HypothesisError(
             f"fixed-point residual {residual!r} exceeds the tolerance {tol!r}; "
-            "the contraction hypothesis fails for this setup"
+            "the contraction hypothesis fails for this setup",
+            trace,
         )
     n = len(trace)
     return FixedPointResult(
@@ -227,14 +220,14 @@ def solve(problem: FixedPointProblem, cert: ContractionCertificate) -> FixedPoin
 
 def uniqueness_probe(
     problem: FixedPointProblem,
-    cert: ContractionCertificate,
+    cert: ContractionCertificate | None,
     starts,
 ) -> float:
     """Max pairwise ambient distance between fixed points from several starts.
 
     All starts must converge to the same point up to the certified slack
     (2 * tolerance * k / (1 - k) plus rounding); a single start returns 0.
-    ``cert`` is checked against the problem's own nesting, as in :func:`solve`.
+    ``cert`` is derived from or checked against the problem's own nesting, as in :func:`solve`.
     """
     points = [solve(replace(problem, start=s), cert).point for s in starts]
     spread = 0.0

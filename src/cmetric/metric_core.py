@@ -6,7 +6,9 @@ inverse hyperbolic tangent on [0, 1), the Poincare distance
     omega(z, w) = atanh( |z - w| / |1 - conj(w) * z| ),
 
 whose isometries are the disk automorphisms z -> (z - a) / (1 - conj(a) * z)
-(:class:`~cmetric.holomaps.Mobius`), and the convexity margin
+(:class:`~cmetric.holomaps.Mobius`) and whose inner quotient, the
+pseudo-hyperbolic distance, is the one scalar kernel of every distance
+(:func:`pseudo_hyperbolic`), and the convexity margin
 r*x - atanh(r * tanh(x)) >= 0, the scalar inequality that turns a distance
 bound tanh(c) <= k into the linear bound c' <= k * c; it is exposed here so
 it can be checked directly.
@@ -30,6 +32,7 @@ __all__ = [
     "atanh_second_derivative",
     "poincare_distance",
     "poincare_distance_many",
+    "pseudo_hyperbolic",
     "convexity_margin",
 ]
 
@@ -95,14 +98,18 @@ def poincare_distance(z: complex, w: complex) -> float:
     Symmetric bit-for-bit under argument swap (the quotient of the two moduli
     is formed the same way in either order), zero exactly when ``z == w``.
     """
-    z = _require_in_disk(z, "z")
-    w = _require_in_disk(w, "w")
-    if z == w:
-        # short-circuit before the quotient: avoids 0/eps noise on the diagonal
-        return 0.0
-    num = abs(z - w)
-    den = abs(1.0 - w.conjugate() * z)
-    return atanh_stable(num / den)
+    return atanh_stable(pseudo_hyperbolic(_require_in_disk(z, "z"), _require_in_disk(w, "w")))
+
+
+def pseudo_hyperbolic(z: complex, w: complex) -> float:
+    """The quotient |z - w| / |1 - conj(w) z| of two disk points, unchecked.
+
+    Formed as :func:`poincare_distance_many` forms it (``abs`` of a complex is
+    libm ``hypot``, as ``np.hypot`` is), so its atanh is bit-identical there.
+    """
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    num = abs(complex(zr - wr, zi - wi))
+    return num / abs(complex(1.0 - (wr * zr + wi * zi), wr * zi - wi * zr))
 
 
 def poincare_distance_many(z, w) -> np.ndarray:
@@ -110,8 +117,8 @@ def poincare_distance_many(z, w) -> np.ndarray:
 
     Membership is not re-validated here; callers are expected to feed points
     strictly inside the disk (as produced by domain sampling).  Uses the same
-    single-log1p formula as :func:`atanh_stable`; scalar and array paths agree
-    to rounding level (SIMD transcendentals may differ in the last ulp).
+    quotient as :func:`pseudo_hyperbolic` and the same single ``np.log1p`` as
+    :func:`atanh_stable`, so scalar and array paths are bit-identical.
 
     The modulus quotient is assembled from real components: products commute
     exactly and hypot ignores signs, so the result is bit-identical under

@@ -396,3 +396,21 @@ def test_nesting_report_json_round_trip():
     data = json.loads(json.dumps(report.to_json_dict()))
     back = NestingReport.from_json_dict(data)
     assert back == report
+
+
+def test_verify_nesting_rejects_the_certificate_of_another_nesting():
+    # ScaledDisk(0.2)'s k = 0.385 is below the nesting's own 0.887; trusting it
+    # reported max_violation 0.970 for this correct nesting
+    inner = AffineDiskImage(0.25, 0.55)
+    foreign = diameter(UnitDisk(), ScaledDisk(0.2))
+    with pytest.raises(HypothesisError):
+        verify_nesting(UnitDisk(), inner, foreign, SampleStream(seed=1, count=10_000))
+    own = verify_nesting(UnitDisk(), inner, diameter(UnitDisk(), inner), SampleStream(1, 10_000))
+    assert own.max_violation <= 1e-10
+
+
+def test_worst_pair_holds_python_complex():
+    inner = Polydisk((0.3, 0.5))
+    cert = diameter(Polydisk((1.0, 1.0)), inner)
+    report = verify_nesting(Polydisk((1.0, 1.0)), inner, cert, SampleStream(seed=5, count=200))
+    assert {type(c) for p in report.worst_pair for c in p} == {complex}

@@ -330,3 +330,67 @@ def test_pullback_isometry_random_affine_polydisk_image():
     ys = dom.sample(SampleStream(seed=67, count=100))
     for x, y in zip(xs, ys):
         assert pullback_isometry_check(dom, tuple(x), tuple(y)) <= 1e-12
+
+
+# -- scalar and bulk paths ------------------------------------------------------------
+
+FIVE_KINDS = [
+    UnitDisk(),
+    ScaledDisk(0.6),
+    AffineDiskImage(0.3 - 0.2j, 0.7),
+    Polydisk((0.5, 0.9, 1.3)),
+    AffineImage(base=Polydisk((0.8, 0.6)), matrix=((1, 0.3), (0.2j, 1)), offset=(0.1, -0.2j)),
+]
+
+# Scalar pulls through a full matrix may round the last bits differently from
+# numpy's matrix product; sampled pairs (margin 1e-3) read at most 1.6e-12.
+FULL_CHART_REL = 1e-11
+
+
+def _points(arr):
+    return [tuple(row.tolist()) for row in arr]
+
+
+@pytest.mark.parametrize("domain", FIVE_KINDS, ids=lambda d: type(d).__name__)
+def test_scalar_distance_equals_bulk_distance(domain):
+    xs = domain.sample(SampleStream(seed=71, count=1500))
+    ys = domain.sample(SampleStream(seed=73, count=1500))
+    bulk = domain.caratheodory_many(xs, ys)
+    scalar = np.array([domain.caratheodory(x, y) for x, y in zip(_points(xs), _points(ys))])
+    if isinstance(domain, AffineImage):
+        assert (np.abs(scalar - bulk) <= FULL_CHART_REL * bulk).all()
+    else:
+        assert scalar.tolist() == bulk.tolist()
+
+
+@pytest.mark.parametrize("domain", FIVE_KINDS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("margin", [0.0, 0.25])
+def test_scalar_membership_agrees_with_bulk_away_from_the_rim(domain, margin):
+    # points on lines through two interior points, reaching past the rim
+    xs = domain.sample(SampleStream(seed=79, count=3000))
+    ys = domain.sample(SampleStream(seed=83, count=3000))
+    t = np.random.default_rng(89).uniform(-1.0, 2.0, (3000, 1))
+    pts = xs + t * (ys - xs)
+    away = np.abs(domain.boundary_proximity_many(pts) - (1.0 - margin)) > 1e-9
+    pts = pts[away]
+    bulk = domain.contains_many(pts, margin)
+    assert 0 < bulk.sum() < len(pts)
+    assert [domain.contains(p, margin) for p in _points(pts)] == bulk.tolist()
+
+
+def test_pullback_returns_python_complex():
+    dom = FIVE_KINDS[-1]
+    p = dom.pullback((0.3, -0.1j))
+    assert [type(c) for c in p] == [complex, complex]
+    assert dom.base.contains(p)
+
+
+def test_complex_tuple_shortcut_still_checks_points():
+    p = (0.1 + 0j, 0.2j)
+    assert as_point(p, 2) == p
+    with pytest.raises(StructuralError):
+        as_point(p, 3)
+    with pytest.raises(DomainError):
+        as_point((0.1 + 0j, complex("nan")))
+    with pytest.raises(DomainError):
+        UnitDisk().caratheodory((complex("inf"),), (0j,))

@@ -16,6 +16,7 @@ from cmetric import (
     HypothesisError,
     Mobius,
     NonConvergenceError,
+    Polydisk,
     Polynomial,
     SampleStream,
     ScaledDisk,
@@ -347,3 +348,61 @@ def test_uniqueness_random_maps_many_starts():
         )
         spread = uniqueness_probe(problem, cert, [tuple(s) for s in starts])
         assert spread <= 2 * tol * cert.k / (1 - cert.k) + 1e-10
+
+
+# -- derived certificates, failure traces, scalar steps ------------------------------
+
+
+def test_missing_certificate_is_derived_from_the_nesting():
+    problem = _problem()
+    cert = diameter(problem.ambient, problem.inner)
+    assert solve(problem) == solve(problem, None) == solve(problem, cert)
+    stream = SampleStream(seed=3, count=500)
+    assert step_contraction_check(
+        HALF_PLUS_QUARTER, UnitDisk(), QUARTER_DISK, None, stream
+    ) == step_contraction_check(HALF_PLUS_QUARTER, UnitDisk(), QUARTER_DISK, cert, stream)
+    starts = [(0.0,), (-0.5 + 0.3j,)]
+    assert uniqueness_probe(problem, None, starts) == uniqueness_probe(problem, cert, starts)
+
+
+def test_escape_from_inner_domain_carries_the_trace_so_far():
+    # z -> z/2 + 0.3 from 0 visits 0.3, 0.45, 0.525: the third iterate leaves D(0, 1/2)
+    shift = Polynomial(((0.3, 0.5),))
+    escaping = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), shift, 0.0, 1e-9)
+    with pytest.raises(HypothesisError) as info:
+        solve(escaping)
+    assert len(info.value.trace) == 2
+    # the steps are ambient distances, so a nesting that holds the image records the same ones
+    holding = FixedPointProblem(UnitDisk(), AffineDiskImage(0.3, 0.55), shift, 0.0, 1e-9)
+    assert solve(holding).trace[:2] == info.value.trace
+
+
+def test_failed_residual_check_carries_the_trace():
+    # z -> 10 z - 2.7 expands away from 0.3: the first step is small enough to stop
+    # (k = 0.8: 4 * 9.9e-6 <= 5e-5), the residual at the stopping point is not (9.9e-5)
+    expanding = Polynomial(((-2.7, 10.0),))
+    start = (0.3 + 1e-6,)
+    problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), expanding, start, 5e-5)
+    with pytest.raises(HypothesisError) as info:
+        solve(problem)
+    step = UnitDisk().caratheodory(start, expanding.evaluate(start))
+    assert info.value.trace == (step,)
+
+
+def test_solve_steps_equal_bulk_distances_of_the_iterates():
+    for seed in range(40):
+        n = seed % 5
+        bias = 0.5 + 0.01 * seed
+        if n == 0:
+            ambient, inner = UnitDisk(), ScaledDisk(bias)
+        else:
+            ambient, inner = Polydisk((1.0,) * n), Polydisk((bias,) * n)
+        f = random_selfmap(ambient, seed=seed, contraction_bias=bias)
+        start = tuple(ambient.sample(SampleStream(seed=seed, count=1))[0].tolist())
+        result = solve(FixedPointProblem(ambient, inner, f, start, 1e-11))
+        iterates = [start]
+        for _ in result.trace:
+            iterates.append(f.evaluate(iterates[-1]))
+        assert iterates[-1] == result.point
+        bulk = ambient.caratheodory_many(iterates[:-1], iterates[1:])
+        assert result.trace == tuple(bulk.tolist())

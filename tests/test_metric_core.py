@@ -287,3 +287,11 @@ def test_second_derivative_rejects_out_of_domain(bad):
 def test_first_derivative_rejects_out_of_domain(bad):
     with pytest.raises(DomainError):
         atanh_derivative(bad)
+
+
+def test_scalar_and_array_kernels_are_bit_identical():
+    rng = np.random.default_rng(29)
+    r = np.sqrt(rng.random((2, 5000))) * (1.0 - 1e-6)
+    zs, ws = r * np.exp(2j * np.pi * rng.random((2, 5000)))
+    scalar = [poincare_distance(z, w) for z, w in zip(zs.tolist(), ws.tolist())]
+    assert scalar == poincare_distance_many(zs, ws).tolist()
