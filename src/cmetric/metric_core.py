@@ -107,9 +107,9 @@ def pseudo_hyperbolic(z: complex, w: complex) -> float:
     Formed as :func:`poincare_distance_many` forms it (``abs`` of a complex is
     libm ``hypot``, as ``np.hypot`` is), so its atanh is bit-identical there.
     """
+    # conj(w) z from real parts: each product and sum rounds on its own, as in numpy
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
-    num = abs(complex(zr - wr, zi - wi))
-    return num / abs(complex(1.0 - (wr * zr + wi * zi), wr * zi - wi * zr))
+    return abs(z - w) / abs(complex(1.0 - (wr * zr + wi * zi), wr * zi - wi * zr))
 
 
 def poincare_distance_many(z, w) -> np.ndarray:
