@@ -365,6 +365,7 @@ def test_verify_nesting_worst_pair_is_reproducible():
     b = verify_nesting(UnitDisk(), inner, cert, s)
     assert a == b
     assert inner.contains(a.worst_pair[0]) and inner.contains(a.worst_pair[1])
+    assert {type(c) for p in a.worst_pair for c in p} == {complex}
 
 
 def test_verify_nesting_rejects_sampled_certificates():
@@ -407,10 +408,3 @@ def test_verify_nesting_rejects_the_certificate_of_another_nesting():
         verify_nesting(UnitDisk(), inner, foreign, SampleStream(seed=1, count=10_000))
     own = verify_nesting(UnitDisk(), inner, diameter(UnitDisk(), inner), SampleStream(1, 10_000))
     assert own.max_violation <= 1e-10
-
-
-def test_worst_pair_holds_python_complex():
-    inner = Polydisk((0.3, 0.5))
-    cert = diameter(Polydisk((1.0, 1.0)), inner)
-    report = verify_nesting(Polydisk((1.0, 1.0)), inner, cert, SampleStream(seed=5, count=200))
-    assert {type(c) for p in report.worst_pair for c in p} == {complex}

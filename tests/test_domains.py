@@ -330,6 +330,7 @@ def test_pullback_isometry_random_affine_polydisk_image():
     ys = dom.sample(SampleStream(seed=67, count=100))
     for x, y in zip(xs, ys):
         assert pullback_isometry_check(dom, tuple(x), tuple(y)) <= 1e-12
+    assert {type(c) for c in dom.pullback(tuple(xs[0]))} == {complex}
 
 
 # -- scalar and bulk paths ------------------------------------------------------------
@@ -377,13 +378,6 @@ def test_scalar_membership_agrees_with_bulk_away_from_the_rim(domain, margin):
     bulk = domain.contains_many(pts, margin)
     assert 0 < bulk.sum() < len(pts)
     assert [domain.contains(p, margin) for p in _points(pts)] == bulk.tolist()
-
-
-def test_pullback_returns_python_complex():
-    dom = FIVE_KINDS[-1]
-    p = dom.pullback((0.3, -0.1j))
-    assert [type(c) for c in p] == [complex, complex]
-    assert dom.base.contains(p)
 
 
 def test_complex_tuple_shortcut_still_checks_points():
