@@ -12,21 +12,25 @@ Exit codes: 0 success, 2 parse/validation error, 3 hypothesis error,
 4 numeric error, 5 non-convergence.
 
 JSON conventions: a complex number is ``[re, im]`` (a bare number means a
-real); a point is either one complex number or a list of them.  Domain specs:
+real); a point is one complex number in dimension 1, else a list of them.  A
+domain or map spec is ``{"kind": ..., <field>: ...}`` holding the fields of the
+class that ``DOMAIN_KINDS`` or ``MAP_KINDS`` names for its kind (``dim``
+defaults to 1; nested domains and maps are specs):
 
-    {"kind": "unit_disk"}
-    {"kind": "scaled_disk", "radius": 0.5}
-    {"kind": "affine_disk", "center": [0.25, 0], "radius": 0.55}
-    {"kind": "polydisk", "radii": [1.0, 1.0]}
-    {"kind": "affine_image", "base": {...}, "matrix": [[...]], "offset": [...]}
-
-Map specs mirror the syntax tree: kinds ``identity``, ``mobius``,
-``polynomial``, ``affine``, ``diagonal``, ``compose``, ``scale``.
+    unit_disk      (no fields)             identity    dim
+    scaled_disk    radius                  mobius      a
+    affine_disk    center, radius          polynomial  coeffs
+    polydisk       radii                   affine      matrix, offset
+    affine_image   base, matrix, offset    diagonal    factors
+                                           compose     outer, inner
+                                           scale       factor, dim
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -55,7 +59,6 @@ from .holomaps import (
     Affine,
     Compose,
     DiagonalProduct,
-    HoloMap,
     Identity,
     Mobius,
     Polynomial,
@@ -74,33 +77,69 @@ DEFAULT_SAMPLES = 1000
 CSV_HEADER = "config,r,M,k,max_violation,pairs"
 
 
-# -- spec parsing -------------------------------------------------------------
+# -- spec decoding ------------------------------------------------------------
+
+DOMAIN_KINDS = {
+    "unit_disk": UnitDisk,
+    "scaled_disk": ScaledDisk,
+    "affine_disk": AffineDiskImage,
+    "polydisk": Polydisk,
+    "affine_image": AffineImage,
+}
+
+MAP_KINDS = {
+    "identity": Identity,
+    "mobius": Mobius,
+    "polynomial": Polynomial,
+    "affine": Affine,
+    "diagonal": DiagonalProduct,
+    "compose": Compose,
+    "scale": ScalarScale,
+}
 
 
-def _parse_complex(value, field: str) -> complex:
-    if isinstance(value, bool):
-        raise ParseError(f"{field}: expected a complex number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real(value, path: str) -> float:
+    if not _is_number(value):
+        raise ParseError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value, path: str) -> int:
+    if not _is_number(value) or value % 1:  # a fraction, or nan (truthy) for nan and inf
+        raise ParseError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _complex(value, path: str) -> complex:
+    if _is_pair(value):
         return complex(value[0], value[1])
-    raise ParseError(f"{field}: expected a number or [re, im] pair, got {value!r}")
+    if not _is_number(value):
+        raise ParseError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    return complex(value)
 
 
-def _parse_point(value, field: str) -> tuple[complex, ...]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (complex(value),)
-    if isinstance(value, list):
-        if len(value) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            return (complex(value[0], value[1]),)
-        return tuple(_parse_complex(v, f"{field}[{i}]") for i, v in enumerate(value))
-    raise ParseError(f"{field}: expected a point (complex number or list of them)")
+def _many(decode):
+    def decode_list(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ParseError(f"{path}: expected a list, got {value!r}")
+        return tuple(decode(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return decode_list
+
+
+def _point(value, dim: int, path: str) -> tuple[complex, ...]:
+    """In dimension 1 a number or ``[re, im]`` pair is the coordinate; else a list of them."""
+    if dim == 1 and (_is_number(value) or _is_pair(value)):
+        return (_complex(value, path),)
+    return _many(_complex)(value, path)
 
 
 def _require(spec: dict, field: str, context: str):
@@ -109,82 +148,42 @@ def _require(spec: dict, field: str, context: str):
     return spec[field]
 
 
-def parse_domain(spec, context: str = "domain") -> Domain:
+def _decode(spec, context: str, kinds: dict):
+    """Build ``kinds[spec["kind"]]`` from the spec's fields, named as in the dataclass."""
     if not isinstance(spec, dict):
         raise ParseError(f"{context}: expected an object, got {spec!r}")
     kind = _require(spec, "kind", context)
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"{context}: unknown kind {kind!r}; expected one of {', '.join(kinds)}")
+    args = {}
+    for field in dataclasses.fields(cls):
+        if field.name in spec or field.default is dataclasses.MISSING:
+            value = _require(spec, field.name, context)
+            args[field.name] = _DECODERS[field.type](value, f"{context}.{field.name}")
     try:
-        if kind == "unit_disk":
-            return UnitDisk()
-        if kind == "scaled_disk":
-            return ScaledDisk(radius=float(_require(spec, "radius", context)))
-        if kind == "affine_disk":
-            return AffineDiskImage(
-                center=_parse_complex(_require(spec, "center", context), f"{context}.center"),
-                radius=float(_require(spec, "radius", context)),
-            )
-        if kind == "polydisk":
-            return Polydisk(radii=tuple(float(r) for r in _require(spec, "radii", context)))
-        if kind == "affine_image":
-            base = parse_domain(_require(spec, "base", context), f"{context}.base")
-            matrix = tuple(
-                tuple(_parse_complex(v, f"{context}.matrix") for v in row)
-                for row in _require(spec, "matrix", context)
-            )
-            offset = tuple(
-                _parse_complex(v, f"{context}.offset") for v in _require(spec, "offset", context)
-            )
-            return AffineImage(base=base, matrix=matrix, offset=offset)
-    except (StructuralError, DomainError, TypeError, ValueError) as exc:
+        return cls(**args)
+    except (StructuralError, DomainError) as exc:
         raise ParseError(f"{context}: invalid {kind!r} spec: {exc}") from exc
-    raise ParseError(f"{context}: unknown domain kind {kind!r}")
 
 
-def parse_map(spec, context: str = "map") -> HoloMap:
-    if not isinstance(spec, dict):
-        raise ParseError(f"{context}: expected an object, got {spec!r}")
-    kind = _require(spec, "kind", context)
-    try:
-        if kind == "identity":
-            return Identity(dim=int(spec.get("dim", 1)))
-        if kind == "mobius":
-            return Mobius(a=_parse_complex(_require(spec, "a", context), f"{context}.a"))
-        if kind == "polynomial":
-            coeffs = tuple(
-                tuple(_parse_complex(c, f"{context}.coeffs") for c in row)
-                for row in _require(spec, "coeffs", context)
-            )
-            return Polynomial(coeffs=coeffs)
-        if kind == "affine":
-            matrix = tuple(
-                tuple(_parse_complex(v, f"{context}.matrix") for v in row)
-                for row in _require(spec, "matrix", context)
-            )
-            offset = tuple(
-                _parse_complex(v, f"{context}.offset") for v in _require(spec, "offset", context)
-            )
-            return Affine(matrix=matrix, offset=offset)
-        if kind == "diagonal":
-            factors = tuple(
-                parse_map(m, f"{context}.factors[{i}]")
-                for i, m in enumerate(_require(spec, "factors", context))
-            )
-            return DiagonalProduct(factors=factors)
-        if kind == "compose":
-            return Compose(
-                outer=parse_map(_require(spec, "outer", context), f"{context}.outer"),
-                inner=parse_map(_require(spec, "inner", context), f"{context}.inner"),
-            )
-        if kind == "scale":
-            return ScalarScale(
-                factor=float(_require(spec, "factor", context)),
-                dim=int(spec.get("dim", 1)),
-            )
-    except ParseError:
-        raise
-    except (StructuralError, DomainError, TypeError, ValueError) as exc:
-        raise ParseError(f"{context}: invalid {kind!r} spec: {exc}") from exc
-    raise ParseError(f"{context}: unknown map kind {kind!r}")
+_domain = functools.partial(_decode, kinds=DOMAIN_KINDS)
+_map = functools.partial(_decode, kinds=MAP_KINDS)
+
+
+# one decoder per field annotation of the kinds above; ``field.type`` is the annotation
+# string because domains.py and holomaps.py use ``from __future__ import annotations``
+_DECODERS = {
+    "int": _int,
+    "float": _real,
+    "complex": _complex,
+    "tuple[float, ...]": _many(_real),
+    "tuple[complex, ...]": _many(_complex),
+    "tuple[tuple[complex, ...], ...]": _many(_many(_complex)),
+    "Domain": _domain,
+    "HoloMap": _map,
+    "tuple[HoloMap, ...]": _many(_map),
+}
 
 
 def _load_input(path: str) -> dict:
@@ -193,110 +192,83 @@ def _load_input(path: str) -> dict:
             spec = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read input {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"input {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
+        raise ParseError(f"input {path!r} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ParseError(f"input {path!r}: top-level value must be an object")
     return spec
 
 
-def _point_jsonable(p) -> list:
-    return [[c.real, c.imag] for c in p]
+def _nesting(spec: dict) -> tuple[Domain, Domain]:
+    return tuple(_domain(_require(spec, name, "input"), name) for name in ("ambient", "inner"))
 
 
-# -- commands -----------------------------------------------------------------
+# -- commands: each returns its report without the command, seed and sample count ---
 
 
 def _cmd_distance(spec: dict, seed: int, samples: int) -> dict:
-    domain = parse_domain(_require(spec, "domain", "input"))
-    x = _parse_point(_require(spec, "x", "input"), "x")
-    y = _parse_point(_require(spec, "y", "input"), "y")
-    value = domain.caratheodory(x, y)
-    return {"command": "distance", "seed": seed, "sample_count": samples, "value": value}
+    domain = _domain(_require(spec, "domain", "input"), "domain")
+    x = _point(_require(spec, "x", "input"), domain.dim, "x")
+    y = _point(_require(spec, "y", "input"), domain.dim, "y")
+    return {"value": domain.caratheodory(x, y)}
 
 
 def _cmd_diameter(spec: dict, seed: int, samples: int) -> dict:
-    ambient = parse_domain(_require(spec, "ambient", "input"), "ambient")
-    inner = parse_domain(_require(spec, "inner", "input"), "inner")
+    ambient, inner = _nesting(spec)
     method = spec.get("method", "closed_form")
     if method == "closed_form":
         cert = contraction.diameter(ambient, inner)
     elif method == "sampled":
-        margin = float(spec.get("boundary_margin", 1e-3))
+        margin = _real(spec.get("boundary_margin", 1e-3), "boundary_margin")
         cert = contraction.diameter(
             ambient, inner, SampleStream(seed=seed, count=samples, boundary_margin=margin)
         )
     else:
         raise ParseError(f"input: unknown diameter method {method!r}")
-    return {
-        "command": "diameter",
-        "seed": seed,
-        "sample_count": samples,
-        "certificate": cert.to_json_dict(),
-    }
+    return {"certificate": cert.to_json_dict()}
 
 
 def _cmd_verify_nesting(spec: dict, seed: int, samples: int) -> dict:
-    ambient = parse_domain(_require(spec, "ambient", "input"), "ambient")
-    inner = parse_domain(_require(spec, "inner", "input"), "inner")
+    ambient, inner = _nesting(spec)
     cert = contraction.diameter(ambient, inner)
     report = contraction.verify_nesting(
         ambient, inner, cert, SampleStream(seed=seed, count=samples)
     )
-    return {
-        "command": "verify-nesting",
-        "seed": seed,
-        "sample_count": samples,
-        "certificate": cert.to_json_dict(),
-        "report": report.to_json_dict(),
-    }
+    return {"certificate": cert.to_json_dict(), "report": report.to_json_dict()}
 
 
 def _cmd_solve(spec: dict, seed: int, samples: int) -> dict:
-    ambient = parse_domain(_require(spec, "ambient", "input"), "ambient")
-    inner = parse_domain(_require(spec, "inner", "input"), "inner")
-    mapping = parse_map(_require(spec, "map", "input"))
-    start = _parse_point(_require(spec, "start", "input"), "start")
+    ambient, inner = _nesting(spec)
+    mapping = _map(_require(spec, "map", "input"), "map")
+    start = _point(_require(spec, "start", "input"), ambient.dim, "start")
+    tolerance = _real(_require(spec, "tolerance", "input"), "tolerance")
+    max_iter = spec.get("max_iter")
     try:
-        tolerance = float(_require(spec, "tolerance", "input"))
-        max_iter = spec.get("max_iter")
         problem = fixed_point.FixedPointProblem(
             ambient=ambient,
             inner=inner,
             mapping=mapping,
             start=start,
             tolerance=tolerance,
-            max_iter=None if max_iter is None else int(max_iter),
+            max_iter=None if max_iter is None else _int(max_iter, "max_iter"),
         )
-    except (StructuralError, TypeError, ValueError) as exc:
+    except (StructuralError, DomainError) as exc:
         raise ParseError(f"input: invalid solve problem: {exc}") from exc
     cert = contraction.diameter(ambient, inner)
-    result = fixed_point.solve(problem, cert)
-    return {
-        "command": "solve",
-        "seed": seed,
-        "sample_count": samples,
-        "certificate": cert.to_json_dict(),
-        "fixed_point": _point_jsonable(result.point),
-        "iterations": result.iterations,
-        "last_step": result.last_step,
-        "certified_bound": result.certified_bound,
-        "apriori_bound": result.apriori_bound,
-        "k_used": result.k_used,
-        "trace": list(result.trace),
-    }
+    report = dataclasses.asdict(fixed_point.solve(problem, cert))
+    point = report.pop("point")
+    report.update(certificate=cert.to_json_dict(), fixed_point=[[c.real, c.imag] for c in point])
+    return report
 
 
 def _cmd_sweep(spec: dict, seed: int, samples: int) -> dict:
-    radii = _require(spec, "radii", "input")
-    if not isinstance(radii, list) or not radii:
+    radii = _many(_real)(_require(spec, "radii", "input"), "radii")
+    if not radii:
         raise ParseError("input: 'radii' must be a non-empty list of numbers")
     rows = []
     for i, r in enumerate(radii):
-        if not isinstance(r, (int, float)) or isinstance(r, bool):
-            raise ParseError(f"input: radii[{i}] is not a number: {r!r}")
         try:
-            inner = ScaledDisk(radius=float(r))
+            inner = ScaledDisk(radius=r)
         except StructuralError as exc:
             raise ParseError(f"input: radii[{i}]: {exc}") from exc
         cert = contraction.diameter(UnitDisk(), inner)
@@ -306,33 +278,22 @@ def _cmd_sweep(spec: dict, seed: int, samples: int) -> dict:
         rows.append(
             {
                 "config": f"{i:03d}",
-                "r": float(r),
+                "r": r,
                 "M": cert.M,
                 "k": cert.k,
                 "max_violation": report.max_violation,
                 "pairs": report.pairs_checked,
             }
         )
-    rows.sort(key=lambda row: row["config"])
-    return {"command": "sweep", "seed": seed, "sample_count": samples, "rows": rows}
+    return {"rows": rows}
 
 
 def emit_csv(report: dict) -> str:
     """Render a sweep report as CSV: LF line endings, shortest round-trip reals."""
     lines = [CSV_HEADER]
     for row in report["rows"]:
-        lines.append(
-            ",".join(
-                [
-                    row["config"],
-                    repr(float(row["r"])),
-                    repr(float(row["M"])),
-                    repr(float(row["k"])),
-                    repr(float(row["max_violation"])),
-                    str(row["pairs"]),
-                ]
-            )
-        )
+        reals = [repr(float(row[column])) for column in ("r", "M", "k", "max_violation")]
+        lines.append(",".join([row["config"], *reals, str(row["pairs"])]))
     return "\n".join(lines) + "\n"
 
 
@@ -340,12 +301,22 @@ def emit_csv(report: dict) -> str:
 
 
 _COMMANDS = {
-    "distance": _cmd_distance,
-    "diameter": _cmd_diameter,
-    "verify-nesting": _cmd_verify_nesting,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
+    "distance": (_cmd_distance, "exact Caratheodory distance between two points"),
+    "diameter": (_cmd_diameter, "contraction certificate for a nested pair of domains"),
+    "verify-nesting": (_cmd_verify_nesting, "check c_ambient <= k * c_inner over sampled pairs"),
+    "solve": (_cmd_solve, "certified fixed-point iteration"),
+    "sweep": (_cmd_sweep, "nesting verification across a list of disk radii"),
 }
+
+# (exception types, label, exit code); the first row that matches wins
+_EXITS = (
+    (ParseError, "parse error", EXIT_PARSE),
+    (StructuralError, "invalid structure", EXIT_PARSE),
+    (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
+    ((NumericError, OverflowError), "numeric error", EXIT_NUMERIC),
+    ((HypothesisError, DomainError), "hypothesis error", EXIT_HYPOTHESIS),
+    (CmetricError, "error", EXIT_HYPOTHESIS),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,13 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "certified fixed-point solves on disk-like domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("distance", "exact Caratheodory distance between two points"),
-        ("diameter", "contraction certificate for a nested pair of domains"),
-        ("verify-nesting", "check c_ambient <= k * c_inner over sampled pairs"),
-        ("solve", "certified fixed-point iteration"),
-        ("sweep", "nesting verification across a list of disk radii"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", required=True, help="path to the JSON spec")
         cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -392,29 +357,16 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command != "sweep":
             raise ParseError("csv output is only available for the sweep command")
         spec = _load_input(args.input)
-        report = _COMMANDS[args.command](spec, args.seed, args.samples)
+        report = {"command": args.command, "seed": args.seed, "sample_count": args.samples}
+        report.update(_COMMANDS[args.command][0](spec, args.seed, args.samples))
         if args.format == "csv":
             text = emit_csv(report)
         else:
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    except ParseError as exc:
-        print(f"cmetric: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StructuralError as exc:
-        print(f"cmetric: invalid structure: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NonConvergenceError as exc:
-        print(f"cmetric: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (NumericError, OverflowError) as exc:
-        print(f"cmetric: numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (HypothesisError, DomainError) as exc:
-        print(f"cmetric: hypothesis error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except CmetricError as exc:
-        print(f"cmetric: error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    except (CmetricError, OverflowError) as exc:
+        label, code = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
+        print(f"cmetric: {label}: {exc}", file=sys.stderr)
+        return code
     if args.out is None:
         sys.stdout.write(text)
     else:

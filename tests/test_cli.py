@@ -1,5 +1,6 @@
 """End-to-end tests for the cmetric command-line interface."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -7,6 +8,22 @@ import sys
 
 import pytest
 
+from cmetric import (
+    Affine,
+    AffineDiskImage,
+    AffineImage,
+    Compose,
+    DiagonalProduct,
+    FixedPointProblem,
+    Identity,
+    Mobius,
+    Polydisk,
+    Polynomial,
+    ScalarScale,
+    ScaledDisk,
+    UnitDisk,
+    solve,
+)
 from cmetric.cli import emit_csv, main
 
 ATANH_HALF = 0.5493061443340549  # atanh(0.5), mpmath oracle
@@ -55,6 +72,179 @@ def test_report_round_trips_through_json(tmp_path, capsys):
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
+# -- every kind: the CLI report equals the library result bit for bit ---------------
+
+AFFINE_BASE = {"kind": "polydisk", "radii": [0.5, 0.5]}
+AFFINE_MATRIX = [[1, 0.3], [[0, 0.2], 1]]
+BIDISK = {"kind": "polydisk", "radii": [1.0, 1.0]}
+
+
+def _distance_case(domain_spec, domain, x, y):
+    spec = {"domain": domain_spec, "x": x, "y": y}
+    return "distance", spec, lambda: {"value": domain.caratheodory(_pt(x), _pt(y))}
+
+
+def _solve_case(ambient_spec, inner_spec, map_spec, start, problem):
+    spec = {
+        "ambient": ambient_spec,
+        "inner": inner_spec,
+        "map": map_spec,
+        "start": start,
+        "tolerance": 1e-10,
+    }
+
+    def expected():
+        result = solve(problem())
+        return {
+            "fixed_point": [[c.real, c.imag] for c in result.point],
+            "iterations": result.iterations,
+            "certified_bound": result.certified_bound,
+            "trace": list(result.trace),
+        }
+
+    return "solve", spec, expected
+
+
+def _pt(value):
+    """The library point for a JSON point in the forms these cases use."""
+    if isinstance(value, (int, float)):
+        return (complex(value),)
+    if all(isinstance(v, (int, float)) for v in value):
+        return (complex(*value),)
+    return tuple(complex(*v) for v in value)
+
+
+def _bidisk_problem(inner_radii, mapping, start):
+    return lambda: FixedPointProblem(
+        ambient=Polydisk((1.0, 1.0)),
+        inner=Polydisk(inner_radii),
+        mapping=mapping,
+        start=start,
+        tolerance=1e-10,
+    )
+
+
+SHRUNK_MOBIUS = {
+    "kind": "compose",
+    "outer": {"kind": "scale", "factor": 0.5},
+    "inner": {"kind": "mobius", "a": [0.3, 0.1]},
+}
+
+KIND_CASES = {
+    "unit_disk": _distance_case({"kind": "unit_disk"}, UnitDisk(), 0.1, [0.3, 0.2]),
+    "scaled_disk": _distance_case(
+        {"kind": "scaled_disk", "radius": 0.5}, ScaledDisk(0.5), [0.1, -0.1], 0.3
+    ),
+    "affine_disk": _distance_case(
+        {"kind": "affine_disk", "center": [0.25, 0], "radius": 0.55},
+        AffineDiskImage(0.25, 0.55),
+        0.1,
+        [0.5, 0.1],
+    ),
+    "polydisk": _distance_case(
+        {"kind": "polydisk", "radii": [1.0, 0.5]},
+        Polydisk((1.0, 0.5)),
+        [[0.1, 0], [0, 0.1]],
+        [[0.3, 0.2], [0.2, 0]],
+    ),
+    "affine_image": _distance_case(
+        {"kind": "affine_image", "base": AFFINE_BASE, "matrix": AFFINE_MATRIX,
+         "offset": [0.1, 0]},
+        AffineImage(Polydisk((0.5, 0.5)), ((1, 0.3), (0.2j, 1)), (0.1, 0)),
+        [[0.1, 0], [0, 0]],
+        [[0.2, 0.1], [0.1, 0]],
+    ),
+    "identity": _solve_case(
+        BIDISK,
+        {"kind": "polydisk", "radii": [0.5, 0.5]},
+        {"kind": "identity", "dim": 2},
+        [[0.1, 0], [0.2, 0]],
+        _bidisk_problem((0.5, 0.5), Identity(2), (0.1, 0.2)),
+    ),
+    "mobius": _solve_case(
+        {"kind": "unit_disk"},
+        {"kind": "scaled_disk", "radius": 0.6},
+        SHRUNK_MOBIUS,
+        [-0.5, 0.1],
+        lambda: FixedPointProblem(
+            ambient=UnitDisk(),
+            inner=ScaledDisk(0.6),
+            mapping=Compose(ScalarScale(0.5), Mobius(0.3 + 0.1j)),
+            start=(-0.5 + 0.1j,),
+            tolerance=1e-10,
+        ),
+    ),
+    "polynomial": _solve_case(
+        {"kind": "unit_disk"},
+        {"kind": "affine_disk", "center": [0.25, 0], "radius": 0.55},
+        {"kind": "polynomial", "coeffs": [[0.25, 0.5]]},
+        0,
+        lambda: FixedPointProblem(
+            ambient=UnitDisk(),
+            inner=AffineDiskImage(0.25, 0.55),
+            mapping=Polynomial(((0.25, 0.5),)),
+            start=(0,),
+            tolerance=1e-10,
+        ),
+    ),
+    "affine": _solve_case(
+        BIDISK,
+        {"kind": "polydisk", "radii": [0.6, 0.6]},
+        {"kind": "affine", "matrix": [[0.3, 0.1], [0, [0, 0.2]]], "offset": [0.1, [0, 0.05]]},
+        [[0.2, 0], [0, 0.3]],
+        _bidisk_problem(
+            (0.6, 0.6), Affine(((0.3, 0.1), (0, 0.2j)), (0.1, 0.05j)), (0.2, 0.3j)
+        ),
+    ),
+    "diagonal": _solve_case(
+        BIDISK,
+        {"kind": "polydisk", "radii": [0.8, 0.8]},
+        {"kind": "diagonal", "factors": [
+            {"kind": "polynomial", "coeffs": [[0.25, 0.5]]}, SHRUNK_MOBIUS,
+        ]},
+        [[0, 0], [0.4, -0.2]],
+        _bidisk_problem(
+            (0.8, 0.8),
+            DiagonalProduct(
+                (Polynomial(((0.25, 0.5),)), Compose(ScalarScale(0.5), Mobius(0.3 + 0.1j)))
+            ),
+            (0, 0.4 - 0.2j),
+        ),
+    ),
+    "compose": _solve_case(
+        {"kind": "unit_disk"},
+        {"kind": "scaled_disk", "radius": 0.6},
+        {"kind": "compose", "outer": {"kind": "polynomial", "coeffs": [[0, 0.5]]},
+         "inner": {"kind": "mobius", "a": [-0.2, 0]}},
+        [0.3, 0.3],
+        lambda: FixedPointProblem(
+            ambient=UnitDisk(),
+            inner=ScaledDisk(0.6),
+            mapping=Compose(Polynomial(((0, 0.5),)), Mobius(-0.2)),
+            start=(0.3 + 0.3j,),
+            tolerance=1e-10,
+        ),
+    ),
+    "scale": _solve_case(
+        BIDISK,
+        {"kind": "polydisk", "radii": [0.6, 0.6]},
+        {"kind": "scale", "factor": 0.5, "dim": 2},
+        [[0.5, 0.1], [-0.3, 0]],
+        _bidisk_problem((0.6, 0.6), ScalarScale(0.5, 2), (0.5 + 0.1j, -0.3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CASES))
+def test_every_kind_reports_the_library_result(kind, tmp_path, capsys):
+    command, spec, expected = KIND_CASES[kind]
+    code, out = _run(capsys, [command, "--input", _write(tmp_path / "k.json", spec)])
+    assert code == 0
+    report = json.loads(out)
+    for key, value in expected().items():
+        assert report[key] == value, key
+
+
 # -- parse and error paths -----------------------------------------------------------
 
 
@@ -65,6 +255,69 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     code = main(["distance", "--input", str(bad), "--out", str(out_path)])
     assert code == 2
     assert not out_path.exists()  # all-or-nothing output
+    bad.write_bytes('{"domain": {"kind": "unit_disk"}, "x": "\u00e9"}'.encode("latin-1"))
+    assert main(["distance", "--input", str(bad), "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    for margin in ("abc", None):
+        spec = {"ambient": {"kind": "unit_disk"}, "inner": {"kind": "scaled_disk", "radius": 0.5},
+                "method": "sampled", "boundary_margin": margin}
+        code = main(["diameter", "--input", _write(bad, spec), "--out", str(out_path)])
+        assert code == 2
+        assert not out_path.exists()
+
+
+SOLVE_SPEC = {
+    "ambient": {"kind": "unit_disk"},
+    "inner": {"kind": "affine_disk", "center": [0.25, 0], "radius": 0.55},
+    "map": {"kind": "polynomial", "coeffs": [[0.25, 0.5]]},
+    "start": 0,
+    "tolerance": 1e-9,
+}
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("distance", {"domain": {"kind": "scaled_disk", "radius": "0.5"}, "x": 0, "y": 0.1}),
+        ("distance", {"domain": {"kind": "polydisk", "radii": [True]}, "x": 0, "y": 0.1}),
+        ("distance", {"domain": {"kind": "polydisk", "radii": "12"},
+                      "x": [[0, 0], [0, 0]], "y": [[0, 0], [0, 0]]}),
+        ("solve", {**SOLVE_SPEC, "map": {"kind": "scale", "factor": 0.5, "dim": 1.7}}),
+        ("solve", {**SOLVE_SPEC, "map": {"kind": "scale", "factor": "0.5"}}),
+        ("solve", {**SOLVE_SPEC, "max_iter": True}),
+        ("solve", {**SOLVE_SPEC, "max_iter": 2.5}),
+        ("solve", {**SOLVE_SPEC, "tolerance": "1e-9"}),
+    ],
+    ids=["radius-str", "radii-bool", "radii-str", "dim-fraction", "factor-str",
+         "max_iter-bool", "max_iter-fraction", "tolerance-str"],
+)
+def test_strings_bools_and_fractions_are_parse_errors(command, spec, tmp_path, capsys):
+    code, out = _run(capsys, [command, "--input", _write(tmp_path / "s.json", spec)])
+    assert code == 2 and out == ""
+
+
+def test_points_are_read_in_the_domain_dimension(tmp_path, capsys):
+    domain = {"kind": "polydisk", "radii": [1.0, 0.5]}
+    values = []
+    for x in ([0.1, 0.2], [[0.1, 0], [0.2, 0]], [0.1, [0.2, 0]]):
+        spec = {"domain": domain, "x": x, "y": [[0, 0.1], [0.3, 0]]}
+        code, out = _run(capsys, ["distance", "--input", _write(tmp_path / "p.json", spec)])
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values == [Polydisk((1.0, 0.5)).caratheodory((0.1, 0.2), (0.1j, 0.3))] * 3
+    spec = {"domain": domain, "x": 0.1, "y": [[0, 0.1], [0.3, 0]]}
+    assert _run(capsys, ["distance", "--input", _write(tmp_path / "p.json", spec)])[0] == 2
+
+
+def test_kind_tables_cover_every_exported_kind():
+    import cmetric
+    from cmetric.cli import DOMAIN_KINDS, MAP_KINDS
+
+    exported = [getattr(cmetric, name) for name in cmetric.__all__]
+    for base, kinds in ((cmetric.Domain, DOMAIN_KINDS), (cmetric.HoloMap, MAP_KINDS)):
+        concrete = {c for c in exported if isinstance(c, type) and issubclass(c, base)
+                    and not inspect.isabstract(c)}
+        assert concrete == set(kinds.values())
 
 
 def test_missing_field_is_a_parse_error(tmp_path, capsys):
@@ -273,6 +526,20 @@ def test_sweep_json_rows(tmp_path, capsys):
         assert abs(row["k"] - math.tanh(row["M"])) <= 1e-15
         assert row["max_violation"] <= 1e-10
         assert row["pairs"] == 500
+
+
+def test_sweep_rows_keep_the_input_order(tmp_path, capsys):
+    radii = [(i + 1) / 1002 for i in range(1001)]
+    path = _write(tmp_path / "sw.json", {"radii": radii})
+    code, out = _run(capsys, ["sweep", "--input", path, "--samples", "1"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["r"] for row in rows] == radii
+    assert [row["config"] for row in rows] == [f"{i:03d}" for i in range(1001)]
+    code, out = _run(capsys, ["sweep", "--input", path, "--samples", "1", "--format", "csv"])
+    assert code == 0
+    csv_rows = [line.split(",")[:2] for line in out.splitlines()[1:]]
+    assert csv_rows == [[row["config"], repr(row["r"])] for row in rows]
 
 
 def test_sweep_csv_format_and_values(tmp_path, capsys):
