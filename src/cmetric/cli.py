@@ -12,10 +12,11 @@ Exit codes: 0 success, 2 parse/validation error, 3 hypothesis error,
 4 numeric error, 5 non-convergence.
 
 JSON conventions: a complex number is ``[re, im]`` (a bare number means a
-real); a point is one complex number in dimension 1, else a list of them.  A
-domain or map spec is ``{"kind": ..., <field>: ...}`` holding the fields of the
-class that ``DOMAIN_KINDS`` or ``MAP_KINDS`` names for its kind (``dim``
-defaults to 1; nested domains and maps are specs):
+real); a point is one complex number in dimension 1, else a list of them.
+Every number must be finite and fit a double.  A domain or map spec is
+``{"kind": ..., <field>: ...}`` holding the fields of the class that
+``DOMAIN_KINDS`` or ``MAP_KINDS`` names for its kind (``dim`` defaults to 1;
+nested domains and maps are specs):
 
     unit_disk      (no fields)             identity    dim
     scaled_disk    radius                  mobius      a
@@ -29,6 +30,7 @@ defaults to 1; nested domains and maps are specs):
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -102,10 +104,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(convert, value, path: str):
+    """``convert(value)``, which must give a finite float or complex."""
+    try:
+        x = convert(value)
+    except OverflowError:
+        raise ParseError(f"{path}: number too large for a double") from None
+    if not cmath.isfinite(x):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return x
+
+
 def _real(value, path: str) -> float:
     if not _is_number(value):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(float, value, path)
 
 
 def _int(value, path: str) -> int:
@@ -120,10 +133,10 @@ def _is_pair(value) -> bool:
 
 def _complex(value, path: str) -> complex:
     if _is_pair(value):
-        return complex(value[0], value[1])
+        return _finite(lambda pair: complex(*pair), value, path)
     if not _is_number(value):
         raise ParseError(f"{path}: expected a number or [re, im] pair, got {value!r}")
-    return complex(value)
+    return _finite(complex, value, path)
 
 
 def _many(decode):

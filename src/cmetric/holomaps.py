@@ -7,9 +7,10 @@ construction, so holomorphy is a structural guarantee of the value rather
 than a runtime property to be checked.  Map values are immutable and
 evaluation is pure.
 
-Scalar evaluation (:meth:`HoloMap.evaluate`) works on points; bulk evaluation
-(:meth:`HoloMap.evaluate_many`) works on (n, dim) complex arrays and is used
-by the sampling-based checks.
+Each node states its formula once, in ``_eval``, on a tuple of coordinates:
+Python ``complex`` numbers from :meth:`HoloMap.evaluate`, or the 1-d columns
+of an (n, dim) array from :meth:`HoloMap.evaluate_many` (used by the
+sampling-based checks).  Python arithmetic works on both.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ class HoloMap(abc.ABC):
     def in_dim(self) -> int: ...
 
     @property
-    @abc.abstractmethod
-    def out_dim(self) -> int: ...
+    def out_dim(self) -> int:
+        return self.in_dim
 
     def evaluate(self, p: PointLike) -> Point:
         """Evaluate at a single point; raises NumericError on non-finite output."""
         pt = as_point(p, self.in_dim)
         try:
-            out = self._eval_point(pt)
+            out = self._eval(pt)
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericError(f"{type(self).__name__} node blew up at {pt!r}: {exc}") from None
         for c in out:
@@ -83,8 +84,13 @@ class HoloMap(abc.ABC):
     def evaluate_many(self, pts) -> np.ndarray:
         """Evaluate over an (n, in_dim) array, returning (n, out_dim)."""
         arr = _points_array(pts, self.in_dim, "points")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._eval_array(arr)
+        out = np.empty((arr.shape[0], self.out_dim), dtype=complex)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for j, col in enumerate(self._eval(tuple(arr.T))):
+                    out[:, j] = col  # a constant output broadcasts down its column
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise NumericError(f"{type(self).__name__} node blew up: {exc}") from None
         if not np.isfinite(out.view(float)).all():
             raise NumericError(f"non-finite value produced by {type(self).__name__} node")
         return out
@@ -92,10 +98,8 @@ class HoloMap(abc.ABC):
     __call__ = evaluate
 
     @abc.abstractmethod
-    def _eval_point(self, pt: Point) -> Point: ...
-
-    @abc.abstractmethod
-    def _eval_array(self, arr: np.ndarray) -> np.ndarray: ...
+    def _eval(self, coords: tuple) -> tuple:
+        """Output coordinates from input ones, Python ``complex`` or 1-d arrays alike."""
 
 
 @dataclass(frozen=True)
@@ -112,15 +116,8 @@ class Identity(HoloMap):
     def in_dim(self):
         return self.dim
 
-    @property
-    def out_dim(self):
-        return self.dim
-
-    def _eval_point(self, pt):
-        return pt
-
-    def _eval_array(self, arr):
-        return arr
+    def _eval(self, coords):
+        return coords
 
 
 @dataclass(frozen=True)
@@ -139,25 +136,9 @@ class Mobius(HoloMap):
     def in_dim(self):
         return 1
 
-    @property
-    def out_dim(self):
-        return 1
-
-    def inverse(self) -> "Mobius":
-        """The inverse automorphism, which is the centering at -a."""
-        return Mobius(-self.a)
-
-    def _eval_point(self, pt):
-        z = pt[0]
-        den = 1.0 - self.a.conjugate() * z
-        try:
-            return ((z - self.a) / den,)
-        except ZeroDivisionError:
-            raise NumericError(f"Mobius denominator vanished at z={z!r}") from None
-
-    def _eval_array(self, arr):
-        z = arr[:, 0]
-        return ((z - self.a) / (1.0 - np.conj(self.a) * z))[:, None]
+    def _eval(self, coords):
+        (z,) = coords
+        return ((z - self.a) / (1.0 - self.a.conjugate() * z),)
 
 
 @dataclass(frozen=True)
@@ -191,28 +172,14 @@ class Polynomial(HoloMap):
     def in_dim(self):
         return len(self.coeffs)
 
-    @property
-    def out_dim(self):
-        return len(self.coeffs)
-
-    def _eval_point(self, pt):
+    def _eval(self, coords):
         out = []
-        for z, row in zip(pt, self.coeffs):
+        for z, row in zip(coords, self.coeffs):
             acc = row[-1]
             for c in reversed(row[:-1]):  # Horner
                 acc = acc * z + c
             out.append(acc)
         return tuple(out)
-
-    def _eval_array(self, arr):
-        out = np.empty_like(arr)
-        for i, row in enumerate(self.coeffs):
-            z = arr[:, i]
-            acc = np.full_like(z, row[-1])
-            for c in reversed(row[:-1]):
-                acc = acc * z + c
-            out[:, i] = acc
-        return out
 
 
 @dataclass(frozen=True)
@@ -247,16 +214,11 @@ class Affine(HoloMap):
     def out_dim(self):
         return len(self.offset)
 
-    def _eval_point(self, pt):
+    def _eval(self, coords):
         return tuple(
-            sum(a * z for a, z in zip(row, pt)) + b
+            sum(a * z for a, z in zip(row, coords)) + b
             for row, b in zip(self.matrix, self.offset)
         )
-
-    def _eval_array(self, arr):
-        mat = np.asarray(self.matrix, dtype=complex)
-        off = np.asarray(self.offset, dtype=complex)
-        return arr @ mat.T + off[None, :]
 
 
 @dataclass(frozen=True)
@@ -278,16 +240,8 @@ class DiagonalProduct(HoloMap):
     def in_dim(self):
         return len(self.factors)
 
-    @property
-    def out_dim(self):
-        return len(self.factors)
-
-    def _eval_point(self, pt):
-        return tuple(f._eval_point((z,))[0] for f, z in zip(self.factors, pt))
-
-    def _eval_array(self, arr):
-        cols = [f._eval_array(arr[:, i : i + 1])[:, 0] for i, f in enumerate(self.factors)]
-        return np.stack(cols, axis=1)
+    def _eval(self, coords):
+        return tuple(f._eval((z,))[0] for f, z in zip(self.factors, coords))
 
 
 @dataclass(frozen=True)
@@ -312,11 +266,8 @@ class Compose(HoloMap):
     def out_dim(self):
         return self.outer.out_dim
 
-    def _eval_point(self, pt):
-        return self.outer._eval_point(self.inner._eval_point(pt))
-
-    def _eval_array(self, arr):
-        return self.outer._eval_array(self.inner._eval_array(arr))
+    def _eval(self, coords):
+        return self.outer._eval(self.inner._eval(coords))
 
 
 @dataclass(frozen=True)
@@ -338,15 +289,8 @@ class ScalarScale(HoloMap):
     def in_dim(self):
         return self.dim
 
-    @property
-    def out_dim(self):
-        return self.dim
-
-    def _eval_point(self, pt):
-        return tuple(self.factor * z for z in pt)
-
-    def _eval_array(self, arr):
-        return self.factor * arr
+    def _eval(self, coords):
+        return tuple(self.factor * z for z in coords)
 
 
 @dataclass(frozen=True)
@@ -447,23 +391,12 @@ def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMa
     if isinstance(domain, UnitDisk):
         return Compose(ScalarScale(bias), _random_disk_selfmap(rng))
     if isinstance(domain, Polydisk):
-        n = domain.dim
-        factors = tuple(_random_disk_selfmap(rng) for _ in range(n))
-        shrink = Affine(
-            tuple(
-                tuple(1.0 / domain.radii[i] if i == j else 0.0 for j in range(n))
-                for i in range(n)
-            ),
-            (0.0,) * n,
-        )
-        expand = Affine(
-            tuple(
-                tuple(bias * domain.radii[i] if i == j else 0.0 for j in range(n))
-                for i in range(n)
-            ),
-            (0.0,) * n,
-        )
-        return Compose(expand, Compose(DiagonalProduct(factors), shrink))
+        # bias * r_i * f_i(z_i / r_i): a diagonal Affine would multiply by n^2 - n zeros.
+        factors = []
+        for r in domain.radii:
+            f = Compose(_random_disk_selfmap(rng), ScalarScale(1.0 / r))
+            factors.append(Compose(ScalarScale(bias * r), f))
+        return DiagonalProduct(tuple(factors))
     raise CapabilityError(
         f"random self-maps are generated for unit disks and polydisks, not {type(domain).__name__}"
     )

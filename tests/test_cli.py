@@ -287,9 +287,14 @@ SOLVE_SPEC = {
         ("solve", {**SOLVE_SPEC, "max_iter": True}),
         ("solve", {**SOLVE_SPEC, "max_iter": 2.5}),
         ("solve", {**SOLVE_SPEC, "tolerance": "1e-9"}),
+        ("distance", {"domain": {"kind": "scaled_disk", "radius": 10**400}, "x": 0, "y": 0.1}),
+        ("distance", {"domain": {"kind": "unit_disk"}, "x": 10**400, "y": 0.1}),
+        ("distance", {"domain": {"kind": "unit_disk"}, "x": math.nan, "y": 0.1}),
+        ("distance", {"domain": {"kind": "unit_disk"}, "x": [0.1, math.inf], "y": 0.1}),
     ],
     ids=["radius-str", "radii-bool", "radii-str", "dim-fraction", "factor-str",
-         "max_iter-bool", "max_iter-fraction", "tolerance-str"],
+         "max_iter-bool", "max_iter-fraction", "tolerance-str",
+         "radius-huge-int", "x-huge-int", "x-nan", "x-inf"],
 )
 def test_strings_bools_and_fractions_are_parse_errors(command, spec, tmp_path, capsys):
     code, out = _run(capsys, [command, "--input", _write(tmp_path / "s.json", spec)])

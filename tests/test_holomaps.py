@@ -84,18 +84,35 @@ def test_compose_is_bit_for_bit_nested_evaluation():
 
 
 def test_evaluate_many_matches_scalar():
-    maps = [
-        Mobius(0.4 + 0.1j),
-        Polynomial(((0.1, 0.2, 0.3),)),
-        Compose(ScalarScale(0.7), Mobius(-0.2j)),
-    ]
     rng = np.random.default_rng(4)
-    pts = (rng.uniform(-0.6, 0.6, 40) + 1j * rng.uniform(-0.6, 0.6, 40)).reshape(-1, 1)
-    for f in maps:
+
+    def box(dim):
+        return rng.uniform(-0.6, 0.6, (40, dim)) + 1j * rng.uniform(-0.6, 0.6, (40, dim))
+
+    cases = [
+        (Mobius(0.4 + 0.1j), box(1)),
+        (Polynomial(((0.1, 0.2, 0.3),)), box(1)),
+        (Compose(ScalarScale(0.7), Mobius(-0.2j)), box(1)),
+        (Identity(2), box(2)),
+        (Affine(((0.3, 0.2j), (0.1 - 0.1j, 0.4)), (0.05, -0.02j)), box(2)),
+        (Affine(((0.3, 0.2j, -0.1),), (0.05,)), box(3)),
+        (DiagonalProduct((Mobius(0.2), Polynomial(((0.1, 0.5),)))), box(2)),
+        (Polynomial(((0.3 - 0.1j,),)), box(1)),  # degree 0: a constant column
+        (Polynomial(((0.1, 0.2, 0.3), (0.5j, 0.1))), box(2)),
+    ]
+    for n in (2, 3, 4):
+        dom = Polydisk((1.0, 0.5, 0.8, 0.3)[:n])
+        cases.append(
+            (random_selfmap(dom, seed=50 + n, contraction_bias=0.7),
+             dom.sample(SampleStream(seed=n, count=40)))
+        )
+    for f, pts in cases:
         bulk = f.evaluate_many(pts)
+        assert bulk.shape == (pts.shape[0], f.out_dim)
         for i in range(pts.shape[0]):
-            single = f.evaluate((complex(pts[i, 0]),))[0]
-            assert bulk[i, 0] == pytest.approx(single, rel=1e-13, abs=1e-14)
+            single = f.evaluate(tuple(complex(c) for c in pts[i]))
+            for j in range(f.out_dim):
+                assert bulk[i, j] == pytest.approx(single[j], rel=1e-13, abs=1e-14)
 
 
 def test_structural_validation():
@@ -130,6 +147,12 @@ def test_nonfinite_output_raises_numeric_error():
         Mobius(0.5).evaluate_many(np.array([[pole]], dtype=complex))
     with pytest.raises(NumericError):
         Polynomial(((1e308, 1e308),)).evaluate((2.0,))
+    # a constant subtree runs in Python arithmetic on the bulk path too
+    into_pole = Compose(Mobius(0.5), Polynomial(((pole,),)))
+    with pytest.raises(NumericError):
+        into_pole.evaluate((0.1,))
+    with pytest.raises(NumericError):
+        into_pole.evaluate_many(np.array([[0.1], [0.2j]], dtype=complex))
 
 
 # -- Schwarz-Pick gap -------------------------------------------------------------
@@ -272,6 +295,29 @@ def test_random_selfmap_on_polydisk():
     images = f.evaluate_many(pts)
     scaled = Polydisk((0.5, 0.25))
     assert (scaled.boundary_proximity_many(images) <= 1 + 1e-12).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_selfmap_on_polydisk_matches_diagonal_affine_form(n):
+    # The coordinatewise scalings equal the diagonal matrices they replace.
+    radii = (1.0, 0.5, 0.8, 0.3)[:n]
+    dom, bias = Polydisk(radii), 0.7
+    f = random_selfmap(dom, seed=60 + n, contraction_bias=bias)
+    factors = tuple(g.inner.outer for g in f.factors)
+
+    def diagonal(entries):
+        rows = tuple(tuple(e if i == j else 0.0 for j in range(n)) for i, e in enumerate(entries))
+        return Affine(rows, (0.0,) * n)
+
+    old = Compose(
+        diagonal([bias * r for r in radii]),
+        Compose(DiagonalProduct(factors), diagonal([1.0 / r for r in radii])),
+    )
+    pts = dom.sample(SampleStream(seed=n, count=500))
+    assert f.evaluate_many(pts).tobytes() == old.evaluate_many(pts).tobytes()
+    for row in pts[:100]:
+        p = tuple(complex(c) for c in row)
+        assert np.array(f.evaluate(p)).tobytes() == np.array(old.evaluate(p)).tobytes()
 
 
 def test_random_selfmap_rejects_unsupported_domains_and_bias():
