@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .domains import (
     Point,
     PointLike,
     SampleStream,
+    _chunks,
+    _polar,
     _sample_pairs,
     as_point,
 )
@@ -218,32 +221,37 @@ def _closed_form_tanh_diameter(ambient: Domain, inner: Domain, margin: float) ->
 
 def _boundary_biased_pairs(
     domain: Domain, stream: SampleStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of points with moduli biased toward (1 - margin) of the boundary.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Chunks of pairs with moduli biased toward (1 - margin) of the boundary.
 
     Draws are laid out one row per pair, so prefixes agree across counts and
     the running maximum of pair distances is reproducible and nondecreasing.
+    Each chunk comes with the stream row of its first pair.
     """
-    rng = np.random.default_rng(stream.seed)
-    draws = rng.random((stream.count, 2, 2, domain.dim))
-    radial = draws[:, :, 0, :] ** (1.0 / BOUNDARY_BIAS) * (1.0 - stream.boundary_margin)
-    angle = 2.0 * np.pi * draws[:, :, 1, :]
-    model = radial * np.exp(1j * angle)
-    return domain._push(model[:, 0, :]), domain._push(model[:, 1, :])
+    for chunk in _chunks(stream, 2 * domain.dim):
+        model = _polar(chunk, domain.dim, 2, _rim_biased)
+        yield chunk.start, domain._push(model[:, 0, :]), domain._push(model[:, 1, :])
 
 
-def _sampled_diameters(
+def _rim_biased(u: np.ndarray) -> np.ndarray:
+    return u ** (1.0 / BOUNDARY_BIAS)
+
+
+def _sampled_diameter(
     ambient: Domain, inner: Domain, stream: SampleStream, margin: float
-) -> np.ndarray:
-    xs, ys = _boundary_biased_pairs(inner, stream)
-    try:
-        mx = ambient._pull_members(xs, "inner samples", margin)
-        my = ambient._pull_members(ys, "inner samples", margin)
-    except DomainError as exc:
-        raise HypothesisError(
-            f"{exc} with margin {margin:g}; the nesting hypothesis fails"
-        ) from exc
-    return poincare_distance_many(mx, my).max(axis=1)
+) -> float:
+    """The largest ambient distance over the stream's boundary-biased inner pairs."""
+    largest = -math.inf
+    for first, xs, ys in _boundary_biased_pairs(inner, stream):
+        try:
+            mx = ambient._pull_members(xs, "inner samples", margin, first)
+            my = ambient._pull_members(ys, "inner samples", margin, first)
+        except DomainError as exc:
+            raise HypothesisError(
+                f"{exc} with margin {margin:g}; the nesting hypothesis fails"
+            ) from exc
+        largest = max(largest, float(poincare_distance_many(mx, my).max()))
+    return largest
 
 
 def diameter(
@@ -280,8 +288,7 @@ def diameter(
         M = atanh_stable(q)
         method, count, seed = "closed_form", 0, 0
     else:
-        dists = _sampled_diameters(ambient, inner, stream, precompact_margin)
-        M = float(dists.max())
+        M = _sampled_diameter(ambient, inner, stream, precompact_margin)
         method, count, seed = "sampled", stream.count, stream.seed
     if M > cap:
         raise BoundednessError(
@@ -363,26 +370,31 @@ def verify_nesting(
     residuals ``c_ambient - k * c_inner`` and
     ``c_ambient - atanh(k * tanh(c_inner))`` and reports the maximum over all
     pairs and both forms, together with the worst pair (first index wins on
-    ties).  ``cert`` must certify this nesting: closed-form, with a k no
-    smaller than the nesting's own; a smaller k would produce false violations.
+    ties).  Pairs are drawn and reduced in fixed-size chunks of the stream, in
+    stream order, so memory stays bounded whatever the pair count and the
+    report equals that of one pass over all pairs.  ``cert`` must certify
+    this nesting: closed-form, with a k no smaller than the nesting's own; a
+    smaller k would produce false violations.
     """
     k = _require_certificate(ambient, inner, cert).k
-    xs, ys = _sample_pairs(inner, stream)
-    c_ambient = ambient.caratheodory_many(xs, ys)
-    c_inner = inner.caratheodory_many(xs, ys)
-    linear = c_ambient - k * c_inner
-    chained = c_ambient - np.arctanh(k * np.tanh(c_inner))
-    per_pair = np.maximum(linear, chained)
-    worst = int(np.argmax(per_pair))
-    positive = c_inner > 0.0
-    if positive.any():
-        max_ratio = float((c_ambient[positive] / c_inner[positive]).max())
-    else:
-        max_ratio = float("nan")
+    max_violation, worst_pair, max_ratio = -math.inf, None, -math.inf
+    for first, xs, ys in _sample_pairs(inner, stream):
+        c_ambient = ambient.caratheodory_many(xs, ys, first_row=first)
+        c_inner = inner.caratheodory_many(xs, ys, first_row=first)
+        linear = c_ambient - k * c_inner
+        chained = c_ambient - np.arctanh(k * np.tanh(c_inner))
+        per_pair = np.maximum(linear, chained)
+        worst = int(np.argmax(per_pair))
+        if worst_pair is None or per_pair[worst] > max_violation:
+            max_violation = float(per_pair[worst])
+            worst_pair = (tuple(xs[worst].tolist()), tuple(ys[worst].tolist()))
+        positive = c_inner > 0.0
+        if positive.any():
+            max_ratio = max(max_ratio, float((c_ambient[positive] / c_inner[positive]).max()))
     return NestingReport(
         pairs_checked=stream.count,
-        max_violation=float(per_pair[worst]),
-        worst_pair=(tuple(xs[worst].tolist()), tuple(ys[worst].tolist())),
+        max_violation=max_violation,
+        worst_pair=worst_pair,
         k_used=k,
-        max_ratio=max_ratio,
+        max_ratio=max_ratio if max_ratio > -math.inf else float("nan"),
     )

@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import abc
 import cmath
+import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, StructuralError
 from .metric_core import atanh_stable, poincare_distance_many, pseudo_hyperbolic
@@ -60,6 +63,11 @@ DEFAULT_BOUNDARY_MARGIN = 1e-3
 # Default membership margin used when asserting that one domain sits strictly
 # inside another (the checkable surrogate for relative compactness).
 PRECOMPACT_MARGIN = 1e-6
+
+# Sampled reductions walk their streams in row ranges of at most this many
+# coordinates.  A chunk's arrays then stay at 64 KB, under glibc's default
+# mmap threshold, so every chunk reuses the same heap memory.
+CHUNK = 4096
 
 
 def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -> Point:
@@ -95,44 +103,140 @@ def _not_text(value):
 
 @dataclass(frozen=True)
 class SampleStream:
-    """Reproducible sampling request: seed, point count and boundary margin.
+    """Reproducible sampling request: seed, row count, boundary margin and first row.
 
-    Identical (seed, domain, count, margin) always yields the identical point
-    sequence, and the first ``m`` points of a count-n stream equal the
-    count-m stream (draws are laid out one row per point).
+    A seed fixes one endless sequence of draw rows, one point (or one pair)
+    per row; the stream names rows ``[start, start + count)`` of it.  The
+    same (seed, domain, margin) always yields the same rows, so the first
+    ``m`` points of a count-n stream equal the count-m stream, and a stream
+    cut into row ranges draws exactly the points of the whole.
     """
 
     seed: int
     count: int
     boundary_margin: float = DEFAULT_BOUNDARY_MARGIN
+    start: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        seed, count, start = (_integer(getattr(self, f), f) for f in ("seed", "count", "start"))
+        if not 0 <= seed < 2**64:
             raise StructuralError(f"seed must be a 64-bit unsigned integer: {self.seed!r}")
-        if int(self.count) < 1:
+        if count < 1:
             raise StructuralError(f"sample count must be >= 1: {self.count!r}")
-        if not 0.0 < float(self.boundary_margin) < 1.0:
+        if start < 0:
+            raise StructuralError(f"first sample row must be >= 0: {self.start!r}")
+        margin = self.boundary_margin
+        if type(margin) is not float and (
+            isinstance(margin, bool) or not isinstance(margin, numbers.Real)
+        ):
+            raise StructuralError(f"boundary margin must be a real number: {margin!r}")
+        margin = float(margin)
+        if not 0.0 < margin < 1.0:
             raise StructuralError(
                 f"boundary margin must lie in (0, 1): {self.boundary_margin!r}"
             )
+        for name, value in (("seed", seed), ("count", count), ("start", start),
+                            ("boundary_margin", margin)):
+            object.__setattr__(self, name, value)
 
 
-def _sample_pairs(domain: Domain, stream: SampleStream) -> tuple[np.ndarray, np.ndarray]:
-    """Independent samples from ``stream`` and from its seed XOR a fixed salt: the pair rule."""
-    partner = SampleStream(stream.seed ^ 0x9E3779B97F4A7C15, stream.count, stream.boundary_margin)
-    return domain.sample(stream), domain.sample(partner)
+def _integer(value, what: str) -> int:
+    """``value`` as an int; bools, text and fractional numbers are not integers."""
+    if type(value) is int:  # the common case; isinstance against an ABC costs microseconds
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise StructuralError(f"{what} must be an integer: {value!r}")
+
+
+def _chunks(stream: SampleStream, width: int) -> Iterator[SampleStream]:
+    """Consecutive row ranges of ``stream``, each of at most CHUNK coordinates.
+
+    ``width`` is the number of coordinates one row draws points for.
+    """
+    rows = max(1, CHUNK // width)
+    end = stream.start + stream.count
+    for first in range(stream.start, end, rows):
+        yield SampleStream(stream.seed, min(rows, end - first), stream.boundary_margin, first)
+
+
+def _polar(stream: SampleStream, dim: int, points: int, modulus) -> np.ndarray:
+    """Model coordinates of the stream's rows, as a (count, points, dim) array.
+
+    Each row draws, per point, ``dim`` moduli ``modulus(u) * (1 - margin)``
+    and then ``dim`` uniform angles, so row r starts at double number
+    ``r * points * 2 * dim`` of the seed's sequence.  The bit generator is
+    advanced there: a range of rows is drawn without the rows before it.
+    """
+    bits = np.random.PCG64(_hashed_seed(stream.seed))
+    bits.advance(stream.start * points * 2 * dim)
+    draws = np.random.Generator(bits).random((stream.count, points, 2, dim))
+    radial = modulus(draws[:, :, 0, :])
+    radial *= 1.0 - stream.boundary_margin
+    angle = draws[:, :, 1, :]
+    angle *= 2.0 * np.pi
+    model = np.empty(radial.shape, dtype=complex)
+    np.cos(angle, out=model.real)
+    model.real *= radial
+    np.sin(angle, out=model.imag)
+    model.imag *= radial
+    return model
+
+
+class _HashedSeed(ISeedSequence):
+    """``SeedSequence(seed)`` that hashes each requested state only once.
+
+    Hashing is most of the cost of ``PCG64(seed)`` (about 19 of 20 us on a
+    2-vCPU Xeon).  A stream walked in chunks seeds one generator per chunk,
+    so the hashed words are kept, read-only, for its other chunks.
+    """
+
+    def __init__(self, seed: int):
+        self._sequence = np.random.SeedSequence(seed)
+        self._words: dict = {}
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        key = (n_words, np.dtype(dtype))
+        words = self._words.get(key)
+        if words is None:
+            words = self._sequence.generate_state(n_words, dtype)
+            words.flags.writeable = False
+            self._words[key] = words
+        return words
+
+
+@functools.lru_cache(maxsize=16)
+def _hashed_seed(seed: int) -> _HashedSeed:
+    return _HashedSeed(seed)
+
+
+def _sample_pairs(
+    domain: Domain, stream: SampleStream
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Chunks of independent samples from ``stream`` and from its seed XOR a fixed
+    salt (the pair rule), each with the stream row of its first pair."""
+    for chunk in _chunks(stream, domain.dim):
+        partner = SampleStream(
+            chunk.seed ^ 0x9E3779B97F4A7C15, chunk.count, chunk.boundary_margin, chunk.start
+        )
+        yield chunk.start, domain.sample(chunk), domain.sample(partner)
 
 
 def _points_array(pts, dim: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(pts)
-        kind = arr.dtype.kind
-        text = kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
-        if kind not in "biufcO" or text:
-            raise TypeError(f"{arr.dtype} entries are not numbers")
-        arr = arr.astype(complex, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{what}: not an array of numeric points: {exc}") from None
+    if type(pts) is np.ndarray and pts.dtype == complex:  # what sampling and maps return
+        arr = pts
+    else:
+        try:
+            arr = np.asarray(pts)
+            kind = arr.dtype.kind
+            text = kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+            if kind not in "biufcO" or text:
+                raise TypeError(f"{arr.dtype} entries are not numbers")
+            arr = arr.astype(complex, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise StructuralError(f"{what}: not an array of numeric points: {exc}") from None
     if arr.ndim == 1:
         arr = arr[:, None] if dim == 1 else arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -158,8 +262,9 @@ class Domain(abc.ABC):
                 inverse = None
         if inverse is None or not np.isfinite(inverse).all():
             raise StructuralError(f"{self!r} has an uninvertible chart")
-        # the one cached array: row 0 is b, the rows below it are A^-1 (or its diagonal)
+        # the cached arrays: row 0 is b, the rows below it are A^-1 or A (or their diagonal)
         object.__setattr__(self, "_pull_chart", np.concatenate((offset[None, :], inverse)))
+        object.__setattr__(self, "_push_chart", np.concatenate((offset[None, :], matrix)))
         # its scalar twin in Python complex: b, and the rows of A^-1 (or its diagonal)
         scalar = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
         object.__setattr__(self, "_scalar_chart", scalar)
@@ -190,9 +295,8 @@ class Domain(abc.ABC):
 
     def _push(self, model: np.ndarray) -> np.ndarray:
         """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""
-        matrix, offset = self._chart()
-        points = _apply(matrix, model)
-        points += offset
+        points = _apply(self._push_chart[1:], model)
+        points += self._push_chart[0]
         return points
 
     def _relative_chart(self, other: Domain) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +328,14 @@ class Domain(abc.ABC):
     # -- sampling ------------------------------------------------------------
 
     def sample(self, stream: SampleStream) -> np.ndarray:
-        """Draw ``stream.count`` points, returned as an (count, dim) array.
+        """Draw the stream's rows, one point each, as a (count, dim) array.
 
         Direct polar sampling in model coordinates: for each point and each
         coordinate, modulus sqrt(u) * (1 - margin) and uniform angle, pushed
-        forward through the domain's affine chart.  Deterministic in the seed
-        and prefix-stable across counts.
+        forward through the domain's affine chart.  Deterministic in the seed;
+        row r is the same point whatever range of rows a stream names.
         """
-        rng = np.random.default_rng(stream.seed)
-        draws = rng.random((stream.count, 2, self.dim))
-        radial = np.sqrt(draws[:, 0, :]) * (1.0 - stream.boundary_margin)
-        angle = 2.0 * np.pi * draws[:, 1, :]
-        return self._push(radial * np.exp(1j * angle))
+        return self._push(_polar(stream, self.dim, 1, np.sqrt)[:, 0, :])
 
     # -- distance ------------------------------------------------------------
 
@@ -255,23 +355,30 @@ class Domain(abc.ABC):
                 raise DomainError(f"{what} = {p!r} is not inside {self!r}")
         return atanh_stable(max(map(pseudo_hyperbolic, mx, my)))
 
-    def caratheodory_many(self, xs, ys) -> np.ndarray:
-        """Vectorized :meth:`caratheodory` over two (n, dim) point arrays."""
+    def caratheodory_many(self, xs, ys, *, first_row: int = 0) -> np.ndarray:
+        """Vectorized :meth:`caratheodory` over two (n, dim) point arrays.
+
+        An error names a point outside by its row, counted from ``first_row``:
+        the stream row of the first pair when the arrays are one chunk of a stream.
+        """
         xa = _points_array(xs, self.dim, "xs")
         ya = _points_array(ys, self.dim, "ys")
         if xa.shape[0] != ya.shape[0]:
             raise StructuralError("point arrays must have matching lengths")
-        mx, my = self._pull_members(xa, "xs"), self._pull_members(ya, "ys")
+        mx = self._pull_members(xa, "xs", first_row=first_row)
+        my = self._pull_members(ya, "ys", first_row=first_row)
         return poincare_distance_many(mx, my).max(axis=1)
 
-    def _pull_members(self, arr: np.ndarray, what: str, margin: float = 0.0) -> np.ndarray:
+    def _pull_members(
+        self, arr: np.ndarray, what: str, margin: float = 0.0, first_row: int = 0
+    ) -> np.ndarray:
         """Model coordinates of ``arr``, which must lie inside with ``margin``."""
         model = self._pull(arr)
         inside = np.abs(model) < 1.0 - margin
         if not inside.all():
             i = int(np.argmin(inside.all(axis=1)))
             raise DomainError(
-                f"{what}[{i}] = {tuple(arr[i])!r} is not inside {self!r}"
+                f"{what}[{first_row + i}] = {tuple(arr[i])!r} is not inside {self!r}"
             )
         return model
 

@@ -138,19 +138,22 @@ def step_contraction_check(
     if mapping.in_dim != ambient.dim or mapping.out_dim != ambient.dim:
         raise StructuralError("contraction check needs a self-map of the ambient domain")
     k = _require_certificate(ambient, inner, cert).k
-    xs, ys = _sample_pairs(ambient, stream)
-    fxs = mapping.evaluate_many(xs)
-    fys = mapping.evaluate_many(ys)
-    for arr in (fxs, fys):
-        ok = inner.contains_many(arr, 0.0)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise HypothesisError(
-                f"image point {tuple(arr[i])!r} escapes the inner domain; "
-                "the containment hypothesis fails"
-            )
-    gaps = ambient.caratheodory_many(fxs, fys) - k * ambient.caratheodory_many(xs, ys)
-    return float(gaps.max())
+    largest = -math.inf
+    for first, xs, ys in _sample_pairs(ambient, stream):
+        fxs = mapping.evaluate_many(xs)
+        fys = mapping.evaluate_many(ys)
+        for arr in (fxs, fys):
+            ok = inner.contains_many(arr, 0.0)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise HypothesisError(
+                    f"image point {tuple(arr[i])!r} escapes the inner domain; "
+                    "the containment hypothesis fails"
+                )
+        images = ambient.caratheodory_many(fxs, fys, first_row=first)
+        gaps = images - k * ambient.caratheodory_many(xs, ys, first_row=first)
+        largest = max(largest, float(gaps.max()))
+    return largest
 
 
 def solve(

@@ -30,6 +30,7 @@ from .domains import (
     SampleStream,
     UnitDisk,
     as_point,
+    _chunks,
     _points_array,
 )
 from .errors import CapabilityError, DomainError, NumericError, StructuralError
@@ -346,8 +347,10 @@ def image_bound(
         raise StructuralError(
             f"map produces dimension {f.out_dim}, target domain has {target.dim}"
         )
-    images = f.evaluate_many(source.sample(stream))
-    sup = float(target.boundary_proximity_many(images).max())
+    sup = -math.inf
+    for chunk in _chunks(stream, source.dim):
+        images = f.evaluate_many(source.sample(chunk))
+        sup = max(sup, float(target.boundary_proximity_many(images).max()))
     return ImageBoundReport(
         sup_modulus_estimate=sup,
         sample_count=stream.count,

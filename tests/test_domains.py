@@ -60,6 +60,41 @@ def test_sample_stream_validation():
         SampleStream(seed=1, count=10, boundary_margin=0.0)
     with pytest.raises(StructuralError):
         SampleStream(seed=1, count=10, boundary_margin=1.0)
+    with pytest.raises(StructuralError):
+        SampleStream(seed=1, count=10, start=-1)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": True},
+        {"seed": None},
+        {"count": 2.5},
+        {"count": "10"},
+        {"count": True},
+        {"start": 0.5},
+        {"start": "3"},
+        {"start": False},
+        {"boundary_margin": "0.1"},
+        {"boundary_margin": b"0.1"},
+        {"boundary_margin": True},
+        {"boundary_margin": 0.1j},
+        {"boundary_margin": None},
+    ],
+)
+def test_sample_stream_rejects_fractions_text_and_bools(fields):
+    with pytest.raises(StructuralError):
+        SampleStream(**{"seed": 1, "count": 10, **fields})
+
+
+def test_sample_stream_stores_typed_fields():
+    stream = SampleStream(seed=np.uint64(7), count=10.0, boundary_margin=np.float32(0.25), start=3.0)
+    assert (stream.seed, stream.count, stream.start, stream.boundary_margin) == (7, 10, 3, 0.25)
+    assert [type(v) for v in (stream.seed, stream.count, stream.start)] == [int, int, int]
+    assert type(stream.boundary_margin) is float
+    assert UnitDisk().sample(stream).shape == (10, 1)
 
 
 # -- membership ------------------------------------------------------------------
@@ -178,6 +213,28 @@ def test_sampling_is_prefix_stable():
     big = d.sample(SampleStream(seed=9, count=50))
     small = d.sample(SampleStream(seed=9, count=12))
     assert big[:12].tobytes() == small.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_row_ranges_draw_the_rows_of_the_whole_stream(dim):
+    d = Polydisk(tuple(0.4 + 0.05 * i for i in range(dim)))
+    whole = d.sample(SampleStream(seed=21, count=3000, boundary_margin=0.01))
+    for start, count in ((0, 1), (1, 1), (17, 100), (511, 513), (2999, 1), (1000, 2000)):
+        part = d.sample(SampleStream(seed=21, count=count, boundary_margin=0.01, start=start))
+        assert part.tobytes() == whole[start:start + count].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_sample_equals_the_exponential_polar_formula(dim):
+    # r·cos θ + i·r·sin θ must reproduce r·exp(iθ) bit for bit, or reports change
+    for seed in (0, 5, 2**64 - 1):
+        for margin in (1e-3, 0.3):
+            draws = np.random.default_rng(seed).random((2000, 2, dim))
+            radial = np.sqrt(draws[:, 0, :]) * (1.0 - margin)
+            angle = 2.0 * np.pi * draws[:, 1, :]
+            expected = radial * np.exp(1j * angle)
+            got = Polydisk((1.0,) * dim).sample(SampleStream(seed, 2000, margin))
+            assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
