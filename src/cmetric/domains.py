@@ -76,9 +76,13 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
     Scalars are accepted as 1-dimensional points; text is not a point.  If
     ``dim`` is given, the coordinate count must match.
     """
-    if type(value) is tuple and all(type(c) is complex for c in value):
-        coords = value
-    elif isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+    if type(value) is tuple and len(value) == dim:  # the scalar path's own points
+        for c in value:
+            if type(c) is not complex or not cmath.isfinite(c):
+                break
+        else:
+            return value
+    if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
         coords = (complex(value),)
     else:
         try:
@@ -125,12 +129,7 @@ class SampleStream:
             raise StructuralError(f"sample count must be >= 1: {self.count!r}")
         if start < 0:
             raise StructuralError(f"first sample row must be >= 0: {self.start!r}")
-        margin = self.boundary_margin
-        if type(margin) is not float and (
-            isinstance(margin, bool) or not isinstance(margin, numbers.Real)
-        ):
-            raise StructuralError(f"boundary margin must be a real number: {margin!r}")
-        margin = float(margin)
+        margin = _real(self.boundary_margin, "boundary margin")
         if not 0.0 < margin < 1.0:
             raise StructuralError(
                 f"boundary margin must lie in (0, 1): {self.boundary_margin!r}"
@@ -149,6 +148,15 @@ def _integer(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise StructuralError(f"{what} must be an integer: {value!r}")
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float; bools, text, None and complex numbers are not real numbers."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StructuralError(f"{what} must be a real number: {value!r}")
+    return float(value)
 
 
 def _chunks(stream: SampleStream, width: int) -> Iterator[SampleStream]:
@@ -253,6 +261,9 @@ class Domain(abc.ABC):
     else works on model coordinates m = A^-1 (z - b) in the unit polydisk.
     """
 
+    #: Complex dimension of the ambient space.
+    dim: int
+
     def __post_init__(self):
         matrix, offset = self._chart()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -268,6 +279,7 @@ class Domain(abc.ABC):
         # its scalar twin in Python complex: b, and the rows of A^-1 (or its diagonal)
         scalar = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
         object.__setattr__(self, "_scalar_chart", scalar)
+        object.__setattr__(self, "dim", len(offset))
 
     @abc.abstractmethod
     def _chart(self) -> tuple[np.ndarray, np.ndarray]:
@@ -276,11 +288,6 @@ class Domain(abc.ABC):
         A diagonal A may be given as one row holding its diagonal.
         """
 
-    @property
-    def dim(self) -> int:
-        """Complex dimension of the ambient space."""
-        return self._pull_chart.shape[1]
-
     def _pull(self, pts: np.ndarray) -> np.ndarray:
         """Model coordinates A^-1 (z - b) of an (n, dim) array of points."""
         return _apply(self._pull_chart[1:], pts - self._pull_chart[0])
@@ -288,9 +295,9 @@ class Domain(abc.ABC):
     def _pull_point(self, p: Point) -> list[complex]:
         """Model coordinates A^-1 (z - b) of one point, in Python complex arithmetic."""
         offset, inverse = self._scalar_chart
-        shifted = [z - b for z, b in zip(p, offset)]
         if len(inverse) == 1:
-            return [s * a for s, a in zip(shifted, inverse[0])]
+            return [(z - b) * a for z, b, a in zip(p, offset, inverse[0])]
+        shifted = [z - b for z, b in zip(p, offset)]
         return [sum(a * s for a, s in zip(row, shifted)) for row in inverse]
 
     def _push(self, model: np.ndarray) -> np.ndarray:
@@ -314,7 +321,7 @@ class Domain(abc.ABC):
         test is ``max_i |m_i| < 1 - margin`` (strict: domains are open).
         """
         model, limit = self._pull_point(as_point(p, self.dim)), _limit(margin)
-        return all(abs(m) < limit for m in model)
+        return _inside(model, limit)
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
         arr = _points_array(pts, self.dim, "points")
@@ -350,9 +357,10 @@ class Domain(abc.ABC):
         xp = as_point(x, self.dim, what="x")
         yp = as_point(y, self.dim, what="y")
         mx, my = self._pull_point(xp), self._pull_point(yp)
-        for what, p, model in (("x", xp, mx), ("y", yp, my)):
-            if not all(abs(m) < 1.0 for m in model):
-                raise DomainError(f"{what} = {p!r} is not inside {self!r}")
+        if not _inside(mx, 1.0):
+            raise DomainError(f"x = {xp!r} is not inside {self!r}")
+        if not _inside(my, 1.0):
+            raise DomainError(f"y = {yp!r} is not inside {self!r}")
         return atanh_stable(max(map(pseudo_hyperbolic, mx, my)))
 
     def caratheodory_many(self, xs, ys, *, first_row: int = 0) -> np.ndarray:
@@ -384,11 +392,19 @@ class Domain(abc.ABC):
 
 
 def _limit(margin: float) -> float:
-    """The bound 1 - margin on model moduli; the margin must be >= 0."""
-    margin = float(margin)
-    if math.isnan(margin) or margin < 0.0:
+    """The bound 1 - margin on model moduli; the margin must be a real number >= 0."""
+    margin = _real(margin, "membership margin")
+    if not margin >= 0.0:  # NaN too
         raise DomainError(f"membership margin must be >= 0: {margin!r}")
     return 1.0 - margin
+
+
+def _inside(model: list[complex], limit: float) -> bool:
+    """True iff every model modulus is below ``limit``; a NaN coordinate is outside."""
+    for m in model:
+        if not abs(m) < limit:
+            return False
+    return True
 
 
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ class HoloMap(abc.ABC):
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericError(f"{type(self).__name__} node blew up at {pt!r}: {exc}") from None
         for c in out:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            if not cmath.isfinite(c):
                 raise NumericError(
                     f"non-finite value produced by {type(self).__name__} node at {pt!r}"
                 )
@@ -168,6 +168,8 @@ class Polynomial(HoloMap):
                 if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                     raise StructuralError(f"non-finite polynomial coefficient: {c!r}")
         object.__setattr__(self, "coeffs", rows)
+        # Horner order: the leading coefficient, then the others from high to low power
+        object.__setattr__(self, "_horner", tuple((row[-1], row[-2::-1]) for row in rows))
 
     @property
     def in_dim(self):
@@ -175,9 +177,8 @@ class Polynomial(HoloMap):
 
     def _eval(self, coords):
         out = []
-        for z, row in zip(coords, self.coeffs):
-            acc = row[-1]
-            for c in reversed(row[:-1]):  # Horner
+        for z, (acc, lower) in zip(coords, self._horner):
+            for c in lower:
                 acc = acc * z + c
             out.append(acc)
         return tuple(out)
@@ -216,10 +217,10 @@ class Affine(HoloMap):
         return len(self.offset)
 
     def _eval(self, coords):
-        return tuple(
-            sum(a * z for a, z in zip(row, coords)) + b
+        return tuple([
+            sum([a * z for a, z in zip(row, coords)]) + b
             for row, b in zip(self.matrix, self.offset)
-        )
+        ])
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ class DiagonalProduct(HoloMap):
         return len(self.factors)
 
     def _eval(self, coords):
-        return tuple(f._eval((z,))[0] for f, z in zip(self.factors, coords))
+        return tuple([f._eval((z,))[0] for f, z in zip(self.factors, coords)])
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ class ScalarScale(HoloMap):
         return self.dim
 
     def _eval(self, coords):
-        return tuple(self.factor * z for z in coords)
+        return tuple([self.factor * z for z in coords])
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ def atanh_stable(x: float) -> float:
     both near 0 (log1p) and near 1 (1 - x is exact for x >= 0.5).  Arguments
     at or beyond ``1 - ATANH_GUARD``, negative arguments and NaN are rejected.
     """
-    x = float(x)
-    if math.isnan(x) or x < 0.0:
+    if type(x) is not float:
+        x = float(x)
+    if not x >= 0.0:  # NaN too
         raise DomainError(f"atanh argument must lie in [0, 1): got {x!r}")
     if x >= _ATANH_CEILING:
         raise DomainError(
@@ -59,7 +60,7 @@ def atanh_stable(x: float) -> float:
         )
     # np.log1p: correctly rounded at the rational anchors the closed forms hit
     # (this platform's libm log1p is an ulp low at e.g. 2.0)
-    return float(0.5 * np.log1p(2.0 * x / (1.0 - x)))
+    return 0.5 * float(np.log1p(2.0 * x / (1.0 - x)))
 
 
 def atanh_derivative(x: float) -> float:

@@ -167,6 +167,24 @@ def test_membership_negative_margin_rejected():
         UnitDisk().contains(0.1, margin=-0.1)
 
 
+def test_membership_margin_must_be_a_real_number():
+    disk = UnitDisk()
+    for bad in ("abc", b"0.1", None, True, 0.1j):
+        with pytest.raises(StructuralError):
+            disk.contains(0.5, bad)
+        with pytest.raises(StructuralError):
+            disk.contains_many([0.5], bad)
+    for bad in (float("nan"), -1):
+        with pytest.raises(DomainError):
+            disk.contains(0.5, bad)
+        with pytest.raises(DomainError):
+            disk.contains_many([0.5], bad)
+    for margin in (0, np.float32(0.25), np.int64(0)):
+        assert disk.contains(0.5, margin)
+        assert disk.contains_many([0.5], margin).tolist() == [True]
+    assert not disk.contains(0.5, 0.6)
+
+
 # -- construction validation ------------------------------------------------------
 
 
@@ -439,10 +457,31 @@ def test_scalar_membership_agrees_with_bulk_away_from_the_rim(domain, margin):
 
 def test_complex_tuple_shortcut_still_checks_points():
     p = (0.1 + 0j, 0.2j)
-    assert as_point(p, 2) == p
-    with pytest.raises(StructuralError):
-        as_point(p, 3)
+    assert as_point(p, 2) is p
+    for dim in (1, 3):
+        with pytest.raises(StructuralError):
+            as_point(p, dim)
     with pytest.raises(DomainError):
         as_point((0.1 + 0j, complex("nan")))
+    for bad in (complex("nan"), complex("inf"), complex(0.1, float("-inf"))):
+        with pytest.raises(DomainError):
+            as_point((0.1 + 0j, 0.2j, bad), 3)
+    # a tuple that is not all complex is coerced
+    mixed = as_point((1, 0.5, 0.25j), 3)
+    assert mixed == (1 + 0j, 0.5 + 0j, 0.25j)
+    assert all(type(c) is complex for c in mixed)
     with pytest.raises(DomainError):
         UnitDisk().caratheodory((complex("inf"),), (0j,))
+
+
+def test_scalar_membership_puts_a_nan_pull_outside():
+    # A^-1 = [[2, -2], [0, 1]]: the first model coordinate of a finite point near
+    # 1e308 is inf - inf = nan, which no comparison puts inside
+    domain = AffineImage(Polydisk((1.0, 1.0)), ((0.5, 1.0), (0.0, 1.0)), (0.0, 0.0))
+    far = (1e308 + 0j, 1e308 + 0j)
+    assert not domain.contains(far)
+    assert not domain.contains(far, 0.5)
+    with pytest.raises(DomainError):
+        domain.caratheodory(far, (0j, 0j))
+    with pytest.raises(DomainError):
+        domain.caratheodory((0j, 0j), far)

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cmetric import (
@@ -21,6 +22,7 @@ from cmetric import (
     SampleStream,
     ScaledDisk,
     ScalarScale,
+    StructuralError,
     UnitDisk,
     diameter,
     random_selfmap,
@@ -223,6 +225,19 @@ def test_solve_rejects_sampled_certificates_and_bad_starts():
     )
     with pytest.raises(DomainError):
         solve(bad_start, cert)
+
+
+def test_problem_fields_are_typed():
+    for max_iter in ("5", 2.5, True, 0):
+        with pytest.raises(StructuralError):
+            _problem(max_iter=max_iter)
+    for tolerance in ("1e-3", b"1e-3", True, None, 1e-3j, 0.0, float("nan"), math.inf):
+        with pytest.raises(StructuralError):
+            _problem(tolerance=tolerance)
+    problem = _problem(tolerance=np.float32(0.25), max_iter=np.int64(3))
+    assert (type(problem.tolerance), type(problem.max_iter)) == (float, int)
+    assert _problem(max_iter=3.0).max_iter == 3
+    assert solve(_problem(max_iter=np.int64(39))).iterations == 39
 
 
 def test_certificate_of_another_nesting_is_rejected():
