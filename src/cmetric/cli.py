@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 parse/validation error, 3 hypothesis error,
 4 numeric error, 5 non-convergence.
 
 JSON conventions: a complex number is ``[re, im]`` (a bare number means a
-real); a point is one complex number in dimension 1, else a list of them.
-Every number must be finite and fit a double.  A domain or map spec is
-``{"kind": ..., <field>: ...}`` holding the fields of the class that
-``DOMAIN_KINDS`` or ``MAP_KINDS`` names for its kind (``dim`` defaults to 1;
-nested domains and maps are specs):
+real); a point is one complex number in dimension 1, else a list of them.  A
+domain or map spec is ``{"kind": ..., <field>: ...}`` holding the fields of
+the class that ``DOMAIN_KINDS`` or ``MAP_KINDS`` names for its kind; only
+pairs, points and nested specs are decoded here, and the constructor reads
+every other field value (``dim`` defaults to 1):
 
     unit_disk      (no fields)             identity    dim
     scaled_disk    radius                  mobius      a
@@ -30,7 +30,6 @@ nested domains and maps are specs):
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import functools
 import json
@@ -40,6 +39,7 @@ import tempfile
 
 from . import contraction, fixed_point
 from .domains import (
+    DEFAULT_BOUNDARY_MARGIN,
     AffineDiskImage,
     AffineImage,
     Domain,
@@ -47,6 +47,8 @@ from .domains import (
     SampleStream,
     ScaledDisk,
     UnitDisk,
+    _real,
+    as_point,
 )
 from .errors import (
     CmetricError,
@@ -104,39 +106,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _finite(convert, value, path: str):
-    """``convert(value)``, which must give a finite float or complex."""
-    try:
-        x = convert(value)
-    except OverflowError:
-        raise ParseError(f"{path}: number too large for a double") from None
-    if not cmath.isfinite(x):
-        raise ParseError(f"{path}: expected a finite number, got {value!r}")
-    return x
-
-
-def _real(value, path: str) -> float:
-    if not _is_number(value):
-        raise ParseError(f"{path}: expected a number, got {value!r}")
-    return _finite(float, value, path)
-
-
-def _int(value, path: str) -> int:
-    if not _is_number(value) or value % 1:  # a fraction, or nan (truthy) for nan and inf
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
-
-
 def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
 
 
-def _complex(value, path: str) -> complex:
+def _complex(value, path: str):
+    """An ``[re, im]`` pair as a complex number; any other value is left to the constructor."""
     if _is_pair(value):
-        return _finite(lambda pair: complex(*pair), value, path)
-    if not _is_number(value):
-        raise ParseError(f"{path}: expected a number or [re, im] pair, got {value!r}")
-    return _finite(complex, value, path)
+        return complex(*(_real(v, path) for v in value))
+    return value
 
 
 def _many(decode):
@@ -151,8 +129,11 @@ def _many(decode):
 def _point(value, dim: int, path: str) -> tuple[complex, ...]:
     """In dimension 1 a number or ``[re, im]`` pair is the coordinate; else a list of them."""
     if dim == 1 and (_is_number(value) or _is_pair(value)):
-        return (_complex(value, path),)
-    return _many(_complex)(value, path)
+        value = [value]
+    try:
+        return as_point(_many(_complex)(value, path), dim, what=path)
+    except DomainError as exc:  # a non-finite coordinate is malformed input here
+        raise ParseError(str(exc)) from None
 
 
 def _require(spec: dict, field: str, context: str):
@@ -173,7 +154,8 @@ def _decode(spec, context: str, kinds: dict):
     for field in dataclasses.fields(cls):
         if field.name in spec or field.default is dataclasses.MISSING:
             value = _require(spec, field.name, context)
-            args[field.name] = _DECODERS[field.type](value, f"{context}.{field.name}")
+            decode = _DECODERS.get(field.type)
+            args[field.name] = decode(value, f"{context}.{field.name}") if decode else value
     try:
         return cls(**args)
     except (StructuralError, DomainError) as exc:
@@ -184,13 +166,10 @@ _domain = functools.partial(_decode, kinds=DOMAIN_KINDS)
 _map = functools.partial(_decode, kinds=MAP_KINDS)
 
 
-# one decoder per field annotation of the kinds above; ``field.type`` is the annotation
-# string because domains.py and holomaps.py use ``from __future__ import annotations``
+# the JSON forms of the field annotations of the kinds above; ``field.type`` is the
+# annotation string because domains.py and holomaps.py use ``from __future__ import annotations``
 _DECODERS = {
-    "int": _int,
-    "float": _real,
     "complex": _complex,
-    "tuple[float, ...]": _many(_real),
     "tuple[complex, ...]": _many(_complex),
     "tuple[tuple[complex, ...], ...]": _many(_many(_complex)),
     "Domain": _domain,
@@ -232,7 +211,7 @@ def _cmd_diameter(spec: dict, seed: int, samples: int) -> dict:
     if method == "closed_form":
         cert = contraction.diameter(ambient, inner)
     elif method == "sampled":
-        margin = _real(spec.get("boundary_margin", 1e-3), "boundary_margin")
+        margin = spec.get("boundary_margin", DEFAULT_BOUNDARY_MARGIN)
         cert = contraction.diameter(
             ambient, inner, SampleStream(seed=seed, count=samples, boundary_margin=margin)
         )
@@ -254,19 +233,8 @@ def _cmd_solve(spec: dict, seed: int, samples: int) -> dict:
     ambient, inner = _nesting(spec)
     mapping = _map(_require(spec, "map", "input"), "map")
     start = _point(_require(spec, "start", "input"), ambient.dim, "start")
-    tolerance = _real(_require(spec, "tolerance", "input"), "tolerance")
-    max_iter = spec.get("max_iter")
-    try:
-        problem = fixed_point.FixedPointProblem(
-            ambient=ambient,
-            inner=inner,
-            mapping=mapping,
-            start=start,
-            tolerance=tolerance,
-            max_iter=None if max_iter is None else _int(max_iter, "max_iter"),
-        )
-    except (StructuralError, DomainError) as exc:
-        raise ParseError(f"input: invalid solve problem: {exc}") from exc
+    tolerance, max_iter = _require(spec, "tolerance", "input"), spec.get("max_iter")
+    problem = fixed_point.FixedPointProblem(ambient, inner, mapping, start, tolerance, max_iter)
     cert = contraction.diameter(ambient, inner)
     report = dataclasses.asdict(fixed_point.solve(problem, cert))
     point = report.pop("point")
@@ -275,8 +243,8 @@ def _cmd_solve(spec: dict, seed: int, samples: int) -> dict:
 
 
 def _cmd_sweep(spec: dict, seed: int, samples: int) -> dict:
-    radii = _many(_real)(_require(spec, "radii", "input"), "radii")
-    if not radii:
+    radii = _require(spec, "radii", "input")
+    if not isinstance(radii, list) or not radii:
         raise ParseError("input: 'radii' must be a non-empty list of numbers")
     rows = []
     for i, r in enumerate(radii):
@@ -291,7 +259,7 @@ def _cmd_sweep(spec: dict, seed: int, samples: int) -> dict:
         rows.append(
             {
                 "config": f"{i:03d}",
-                "r": r,
+                "r": inner.radius,
                 "M": cert.M,
                 "k": cert.k,
                 "max_violation": report.max_violation,

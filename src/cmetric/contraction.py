@@ -35,6 +35,7 @@ from .domains import (
     _chunks,
     _polar,
     _sample_pairs,
+    _typed,
     as_point,
 )
 from .errors import (
@@ -44,7 +45,7 @@ from .errors import (
     StructuralError,
 )
 from .holomaps import HoloMap
-from .metric_core import ATANH_GUARD, atanh_stable, poincare_distance_many
+from .metric_core import ATANH_GUARD, atanh_stable
 
 __all__ = [
     "ContractionCertificate",
@@ -88,10 +89,11 @@ class ContractionCertificate:
     seed: int
 
     def __post_init__(self):
+        _typed(self)
         if self.method not in ("closed_form", "sampled"):
             raise StructuralError(f"unknown certificate method: {self.method!r}")
-        if not (math.isfinite(self.M) and self.M >= 0.0):
-            raise StructuralError(f"certificate diameter must be finite and >= 0: {self.M!r}")
+        if not self.M >= 0.0:
+            raise StructuralError(f"certificate diameter must be >= 0: {self.M!r}")
         if not 0.0 <= self.k < 1.0:
             raise StructuralError(f"contraction constant must lie in [0, 1): {self.k!r}")
         if abs(self.k - math.tanh(self.M)) > 1e-15:
@@ -244,13 +246,12 @@ def _sampled_diameter(
     largest = -math.inf
     for first, xs, ys in _boundary_biased_pairs(inner, stream):
         try:
-            mx = ambient._pull_members(xs, "inner samples", margin, first)
-            my = ambient._pull_members(ys, "inner samples", margin, first)
+            distances = ambient._distances(xs, ys, ("inner samples",) * 2, margin, first)
         except DomainError as exc:
             raise HypothesisError(
                 f"{exc} with margin {margin:g}; the nesting hypothesis fails"
             ) from exc
-        largest = max(largest, float(poincare_distance_many(mx, my).max()))
+        largest = max(largest, float(distances.max()))
     return largest
 
 

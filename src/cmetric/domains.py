@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import abc
 import cmath
+import dataclasses
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -73,8 +73,9 @@ CHUNK = 4096
 def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -> Point:
     """Coerce ``value`` to a tuple of finite complex coordinates.
 
-    Scalars are accepted as 1-dimensional points; text is not a point.  If
-    ``dim`` is given, the coordinate count must match.
+    Scalars are accepted as 1-dimensional points; text is not a point.  Each
+    coordinate is read as a ``complex`` field is, but a non-finite one raises
+    DomainError.  If ``dim`` is given, the coordinate count must match.
     """
     if type(value) is tuple and len(value) == dim:  # the scalar path's own points
         for c in value:
@@ -83,26 +84,102 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
         else:
             return value
     if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
-        coords = (complex(value),)
-    else:
-        try:
-            coords = tuple(complex(_not_text(c)) for c in _not_text(value))
-        except (TypeError, ValueError):
-            raise StructuralError(f"{what} is not a scalar or coordinate sequence: {value!r}")
+        value = (value,)
+    elif isinstance(value, (str, bytes)):
+        raise StructuralError(f"{what} is not a scalar or coordinate sequence: {value!r}")
+    try:
+        coords = tuple([_complex(c, what, DomainError) for c in value])
+    except TypeError:
+        raise StructuralError(f"{what} is not a scalar or coordinate sequence: {value!r}")
     if not coords:
         raise StructuralError(f"{what} has no coordinates")
-    for c in coords:
-        if not cmath.isfinite(c):
-            raise DomainError(f"{what} has a non-finite coordinate: {c!r}")
     if dim is not None and len(coords) != dim:
         raise StructuralError(f"{what} has dimension {len(coords)}, expected {dim}")
     return coords
 
 
-def _not_text(value):
+# -- field readers ----------------------------------------------------------------
+#
+# One reader per field annotation reads a value into the annotated Python type:
+# numpy scalars and integral floats are accepted, bools, text, None, fractions for
+# an int, complex values for a real and ints too large for a double raise
+# StructuralError, and a non-finite float or complex raises ``nonfinite``.
+
+
+def _integer(value, what: str, nonfinite=StructuralError) -> int:
+    """``value`` as an int; bools, text and fractional numbers are not integers."""
+    if type(value) is int:  # the common case; isinstance against an ABC costs microseconds
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise StructuralError(f"{what} must be an integer: {value!r}")
+
+
+def _number(kind: type, abc: type, noun: str):
+    def read(value, what: str, nonfinite=StructuralError):
+        if type(value) is not kind:  # ints and floats (numpy float64 too) skip the ABC check
+            if isinstance(value, bool) or not isinstance(value, (int, float, abc)):
+                raise StructuralError(f"{what} must be {noun}: {value!r}")
+            try:
+                value = kind(value)
+            except OverflowError:
+                raise StructuralError(f"{what} is too large for a double") from None
+        if not cmath.isfinite(value):
+            raise nonfinite(f"{what} must be finite: {value!r}")
+        return value
+
+    return read
+
+
+_real = _number(float, numbers.Real, "a real number")
+_complex = _number(complex, numbers.Complex, "a number")
+
+
+def _sequence(value, what: str, nonfinite=StructuralError) -> tuple:
+    """``value`` as a tuple; text and non-iterables are not sequences."""
     if isinstance(value, (str, bytes)):
-        raise TypeError("text is not a number")
-    return value
+        raise StructuralError(f"{what} must be a sequence: {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise StructuralError(f"{what} must be a sequence: {value!r}") from None
+
+
+def _many(read):
+    def read_many(value, what: str, nonfinite=StructuralError) -> tuple:
+        return tuple([read(v, what, nonfinite) for v in _sequence(value, what)])
+
+    return read_many
+
+
+# keyed by ``field.type``, the annotation string (``from __future__ import annotations``)
+_READERS = {
+    "int": _integer,
+    "int | None": lambda value, what, nonfinite: None if value is None else _integer(value, what),
+    "float": _real,
+    "complex": _complex,
+    "tuple[float, ...]": _many(_real),
+    "tuple[complex, ...]": _many(_complex),
+    "tuple[tuple[complex, ...], ...]": _many(_many(_complex)),
+    "tuple[HoloMap, ...]": _sequence,  # the maps check themselves
+}
+
+
+_FIELD_READERS: dict[type, tuple] = {}  # class -> (name, reader, error prefix) per typed field
+
+
+def _typed(obj, nonfinite: type = StructuralError) -> None:
+    """Store each field of the dataclass ``obj`` as the reader of its annotation returns it."""
+    readers = _FIELD_READERS.get(type(obj))
+    if readers is None:
+        readers = _FIELD_READERS[type(obj)] = tuple(
+            (f.name, _READERS[f.type], f"{type(obj).__name__}.{f.name}")
+            for f in dataclasses.fields(obj) if f.type in _READERS
+        )
+    for name, read, what in readers:  # not via obj.__dict__, which slows later attribute reads
+        object.__setattr__(obj, name, read(getattr(obj, name), what, nonfinite))
 
 
 @dataclass(frozen=True)
@@ -122,41 +199,17 @@ class SampleStream:
     start: int = 0
 
     def __post_init__(self):
-        seed, count, start = (_integer(getattr(self, f), f) for f in ("seed", "count", "start"))
-        if not 0 <= seed < 2**64:
+        _typed(self)
+        if not 0 <= self.seed < 2**64:
             raise StructuralError(f"seed must be a 64-bit unsigned integer: {self.seed!r}")
-        if count < 1:
+        if self.count < 1:
             raise StructuralError(f"sample count must be >= 1: {self.count!r}")
-        if start < 0:
+        if self.start < 0:
             raise StructuralError(f"first sample row must be >= 0: {self.start!r}")
-        margin = _real(self.boundary_margin, "boundary margin")
-        if not 0.0 < margin < 1.0:
+        if not 0.0 < self.boundary_margin < 1.0:
             raise StructuralError(
                 f"boundary margin must lie in (0, 1): {self.boundary_margin!r}"
             )
-        for name, value in (("seed", seed), ("count", count), ("start", start),
-                            ("boundary_margin", margin)):
-            object.__setattr__(self, name, value)
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; bools, text and fractional numbers are not integers."""
-    if type(value) is int:  # the common case; isinstance against an ABC costs microseconds
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise StructuralError(f"{what} must be an integer: {value!r}")
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a float; bools, text, None and complex numbers are not real numbers."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise StructuralError(f"{what} must be a real number: {value!r}")
-    return float(value)
 
 
 def _chunks(stream: SampleStream, width: int) -> Iterator[SampleStream]:
@@ -238,13 +291,13 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
     else:
         try:
             arr = np.asarray(pts)
-            kind = arr.dtype.kind
-            text = kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
-            if kind not in "biufcO" or text:
-                raise TypeError(f"{arr.dtype} entries are not numbers")
-            arr = arr.astype(complex, copy=False)
         except (TypeError, ValueError) as exc:
             raise StructuralError(f"{what}: not an array of numeric points: {exc}") from None
+        if arr.dtype.kind == "O":  # Python numbers numpy has no dtype for, text, ...
+            arr = np.array([_complex(v, what, DomainError) for v in arr.flat]).reshape(arr.shape)
+        elif arr.dtype.kind not in "biufc":
+            raise StructuralError(f"{what}: {arr.dtype} entries are not numbers")
+        arr = arr.astype(complex, copy=False)
     if arr.ndim == 1:
         arr = arr[:, None] if dim == 1 else arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -265,6 +318,8 @@ class Domain(abc.ABC):
     dim: int
 
     def __post_init__(self):
+        _typed(self)
+        self._check()
         matrix, offset = self._chart()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             try:
@@ -280,6 +335,9 @@ class Domain(abc.ABC):
         scalar = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
         object.__setattr__(self, "_scalar_chart", scalar)
         object.__setattr__(self, "dim", len(offset))
+
+    def _check(self) -> None:
+        """Raise StructuralError unless the typed fields lie in their ranges and shapes."""
 
     @abc.abstractmethod
     def _chart(self) -> tuple[np.ndarray, np.ndarray]:
@@ -373,28 +431,34 @@ class Domain(abc.ABC):
         ya = _points_array(ys, self.dim, "ys")
         if xa.shape[0] != ya.shape[0]:
             raise StructuralError("point arrays must have matching lengths")
-        mx = self._pull_members(xa, "xs", first_row=first_row)
-        my = self._pull_members(ya, "ys", first_row=first_row)
-        return poincare_distance_many(mx, my).max(axis=1)
+        return self._distances(xa, ya, ("xs", "ys"), first_row=first_row).max(axis=1)
 
-    def _pull_members(
-        self, arr: np.ndarray, what: str, margin: float = 0.0, first_row: int = 0
+    def _distances(
+        self, xa: np.ndarray, ya: np.ndarray, names: tuple, margin: float = 0.0, first_row: int = 0
     ) -> np.ndarray:
-        """Model coordinates of ``arr``, which must lie inside with ``margin``."""
-        model = self._pull(arr)
-        inside = np.abs(model) < 1.0 - margin
-        if not inside.all():
-            i = int(np.argmin(inside.all(axis=1)))
-            raise DomainError(
-                f"{what}[{first_row + i}] = {tuple(arr[i])!r} is not inside {self!r}"
-            )
-        return model
+        """Per-coordinate Poincare distances of the model coordinates of two point arrays.
+
+        A pair's distance is its row maximum.  Every point must lie inside with
+        ``margin``; an error names one outside as ``names[0]`` or ``names[1]``
+        with its row, counted from ``first_row``.
+        """
+        models = []
+        for arr, what in zip((xa, ya), names):
+            model = self._pull(arr)
+            inside = np.abs(model) < 1.0 - margin
+            if not inside.all():
+                i = int(np.argmin(inside.all(axis=1)))
+                raise DomainError(
+                    f"{what}[{first_row + i}] = {tuple(arr[i])!r} is not inside {self!r}"
+                )
+            models.append(model)
+        return poincare_distance_many(*models)
 
 
 def _limit(margin: float) -> float:
-    """The bound 1 - margin on model moduli; the margin must be a real number >= 0."""
-    margin = _real(margin, "membership margin")
-    if not margin >= 0.0:  # NaN too
+    """The bound 1 - margin on model moduli; the margin must be a finite real number >= 0."""
+    margin = _real(margin, "membership margin", DomainError)
+    if margin < 0.0:
         raise DomainError(f"membership margin must be >= 0: {margin!r}")
     return 1.0 - margin
 
@@ -434,12 +498,9 @@ class ScaledDisk(Domain):
 
     radius: float
 
-    def __post_init__(self):
-        r = float(self.radius)
-        if math.isnan(r) or not 0.0 < r < 1.0:
+    def _check(self):
+        if not 0.0 < self.radius < 1.0:
             raise StructuralError(f"scaled disk radius must lie in (0, 1): {self.radius!r}")
-        object.__setattr__(self, "radius", r)
-        super().__post_init__()
 
     def _chart(self):
         return np.array([[self.radius]], dtype=complex), np.zeros(1, dtype=complex)
@@ -455,16 +516,9 @@ class AffineDiskImage(Domain):
     center: complex
     radius: float
 
-    def __post_init__(self):
-        c = complex(self.center)
-        r = float(self.radius)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise StructuralError(f"disk center must be finite: {self.center!r}")
-        if math.isnan(r) or not r > 0.0 or math.isinf(r):
-            raise StructuralError(f"disk radius must be finite and > 0: {self.radius!r}")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-        super().__post_init__()
+    def _check(self):
+        if not self.radius > 0.0:
+            raise StructuralError(f"disk radius must be > 0: {self.radius!r}")
 
     def _chart(self):
         return np.array([[self.radius]], dtype=complex), np.array([self.center])
@@ -476,18 +530,12 @@ class Polydisk(Domain):
 
     radii: tuple[float, ...]
 
-    def __post_init__(self):
-        try:
-            radii = tuple(float(r) for r in self.radii)
-        except TypeError:
-            raise StructuralError(f"polydisk radii must be a sequence: {self.radii!r}")
-        if not radii:
+    def _check(self):
+        if not self.radii:
             raise StructuralError("polydisk needs at least one radius")
-        for r in radii:
-            if math.isnan(r) or not r > 0.0 or math.isinf(r):
-                raise StructuralError(f"polydisk radii must be finite and > 0: {r!r}")
-        object.__setattr__(self, "radii", radii)
-        super().__post_init__()
+        for r in self.radii:
+            if not r > 0.0:
+                raise StructuralError(f"polydisk radii must be > 0: {r!r}")
 
     def _chart(self):
         return np.array([self.radii], dtype=complex), np.zeros(len(self.radii), dtype=complex)
@@ -503,31 +551,19 @@ class AffineImage(Domain):
 
     _MAX_CONDITION = 1e12
 
-    def __post_init__(self):
+    def _check(self):
         n = self.base.dim
-        try:
-            rows = tuple(tuple(complex(v) for v in row) for row in self.matrix)
-            offset = tuple(complex(v) for v in self.offset)
-        except TypeError:
-            raise StructuralError("affine image needs a matrix of rows and an offset sequence")
-        if len(rows) != n or any(len(row) != n for row in rows):
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise StructuralError(
                 f"affine matrix must be {n}x{n} to match the base domain dimension"
             )
-        if len(offset) != n:
+        if len(self.offset) != n:
             raise StructuralError(f"affine offset must have dimension {n}")
-        flat = [v for row in rows for v in row] + list(offset)
-        for v in flat:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise StructuralError("affine image has a non-finite matrix/offset entry")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "offset", offset)
-        cond = np.linalg.cond(np.asarray(rows, dtype=complex))
+        cond = np.linalg.cond(np.asarray(self.matrix, dtype=complex))
         if not np.isfinite(cond) or cond > self._MAX_CONDITION:
             raise StructuralError(
                 f"affine matrix is singular or too ill-conditioned (cond={cond:.3g})"
             )
-        super().__post_init__()
 
     def _chart(self):
         base_matrix, base_offset = self.base._chart()

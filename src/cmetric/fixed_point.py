@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contraction import ContractionCertificate, _require_certificate
-from .domains import Domain, Point, PointLike, SampleStream, _integer, _real, _sample_pairs, as_point
+from .domains import Domain, Point, PointLike, SampleStream, _sample_pairs, _typed, as_point
 from .errors import (
     DomainError,
     HypothesisError,
@@ -70,16 +70,12 @@ class FixedPointProblem:
             )
         if self.inner.dim != self.ambient.dim:
             raise StructuralError("inner and ambient domains must share a dimension")
-        tol = _real(self.tolerance, "tolerance")
-        if math.isnan(tol) or not tol > 0.0 or math.isinf(tol):
-            raise StructuralError(f"tolerance must be finite and > 0: {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", tol)
+        _typed(self)
+        if not self.tolerance > 0.0:
+            raise StructuralError(f"tolerance must be > 0: {self.tolerance!r}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise StructuralError(f"max_iter must be >= 1: {self.max_iter!r}")
         object.__setattr__(self, "start", as_point(self.start, self.ambient.dim, what="start"))
-        if self.max_iter is not None:
-            max_iter = _integer(self.max_iter, "max_iter")
-            if max_iter < 1:
-                raise StructuralError(f"max_iter must be >= 1: {self.max_iter!r}")
-            object.__setattr__(self, "max_iter", max_iter)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .domains import (
     as_point,
     _chunks,
     _points_array,
+    _typed,
 )
 from .errors import CapabilityError, DomainError, NumericError, StructuralError
 from .metric_core import poincare_distance
@@ -59,6 +60,13 @@ MAX_POLY_DEGREE = 16
 
 class HoloMap(abc.ABC):
     """A holomorphic map C^in_dim -> C^out_dim, represented structurally."""
+
+    def __post_init__(self):
+        _typed(self)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise StructuralError unless the typed fields lie in their ranges and shapes."""
 
     @property
     @abc.abstractmethod
@@ -109,8 +117,8 @@ class Identity(HoloMap):
 
     dim: int = 1
 
-    def __post_init__(self):
-        if int(self.dim) < 1:
+    def _check(self):
+        if self.dim < 1:
             raise StructuralError(f"identity dimension must be >= 1: {self.dim!r}")
 
     @property
@@ -128,10 +136,9 @@ class Mobius(HoloMap):
     a: complex
 
     def __post_init__(self):
-        a = complex(self.a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)) or abs(a) >= 1.0:
+        _typed(self, DomainError)  # a non-finite parameter is outside the disk too
+        if not abs(self.a) < 1.0:
             raise DomainError(f"Mobius parameter must lie strictly inside the unit disk: {self.a!r}")
-        object.__setattr__(self, "a", a)
 
     @property
     def in_dim(self):
@@ -153,23 +160,18 @@ class Polynomial(HoloMap):
     coeffs: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
-        try:
-            rows = tuple(tuple(complex(c) for c in row) for row in self.coeffs)
-        except TypeError:
-            raise StructuralError(f"polynomial coefficients must be nested sequences: {self.coeffs!r}")
-        if not rows or any(not row for row in rows):
+        super().__post_init__()
+        # Horner order: the leading coefficient, then the others from high to low power
+        object.__setattr__(self, "_horner", tuple((row[-1], row[-2::-1]) for row in self.coeffs))
+
+    def _check(self):
+        if not self.coeffs or not all(self.coeffs):
             raise StructuralError("polynomial needs at least one coefficient per coordinate")
-        for row in rows:
+        for row in self.coeffs:
             if len(row) - 1 > MAX_POLY_DEGREE:
                 raise StructuralError(
                     f"polynomial degree {len(row) - 1} exceeds the cap {MAX_POLY_DEGREE}"
                 )
-            for c in row:
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise StructuralError(f"non-finite polynomial coefficient: {c!r}")
-        object.__setattr__(self, "coeffs", rows)
-        # Horner order: the leading coefficient, then the others from high to low power
-        object.__setattr__(self, "_horner", tuple((row[-1], row[-2::-1]) for row in rows))
 
     @property
     def in_dim(self):
@@ -191,22 +193,12 @@ class Affine(HoloMap):
     matrix: tuple[tuple[complex, ...], ...]
     offset: tuple[complex, ...]
 
-    def __post_init__(self):
-        try:
-            rows = tuple(tuple(complex(v) for v in row) for row in self.matrix)
-            offset = tuple(complex(v) for v in self.offset)
-        except TypeError:
-            raise StructuralError("affine map needs a matrix of rows and an offset sequence")
-        if not rows or not offset or len(rows) != len(offset):
+    def _check(self):
+        rows = self.matrix
+        if not rows or len(rows) != len(self.offset):
             raise StructuralError("affine map: offset length must equal the matrix row count")
-        width = len(rows[0])
-        if width < 1 or any(len(row) != width for row in rows):
+        if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise StructuralError("affine map: matrix rows must share a positive width")
-        for v in [c for row in rows for c in row] + list(offset):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise StructuralError("affine map has a non-finite matrix/offset entry")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "offset", offset)
 
     @property
     def in_dim(self):
@@ -229,14 +221,12 @@ class DiagonalProduct(HoloMap):
 
     factors: tuple[HoloMap, ...]
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        if not factors:
+    def _check(self):
+        if not self.factors:
             raise StructuralError("diagonal product needs at least one factor")
-        for f in factors:
+        for f in self.factors:
             if f.in_dim != 1 or f.out_dim != 1:
                 raise StructuralError("diagonal product factors must be 1-dimensional maps")
-        object.__setattr__(self, "factors", factors)
 
     @property
     def in_dim(self):
@@ -253,7 +243,7 @@ class Compose(HoloMap):
     outer: HoloMap
     inner: HoloMap
 
-    def __post_init__(self):
+    def _check(self):
         if self.inner.out_dim != self.outer.in_dim:
             raise StructuralError(
                 f"cannot compose: inner produces dimension {self.inner.out_dim}, "
@@ -279,13 +269,11 @@ class ScalarScale(HoloMap):
     factor: float
     dim: int = 1
 
-    def __post_init__(self):
-        f = float(self.factor)
-        if math.isnan(f) or not f > 0.0 or math.isinf(f):
-            raise StructuralError(f"scale factor must be finite and > 0: {self.factor!r}")
-        if int(self.dim) < 1:
+    def _check(self):
+        if not self.factor > 0.0:
+            raise StructuralError(f"scale factor must be > 0: {self.factor!r}")
+        if self.dim < 1:
             raise StructuralError(f"scale dimension must be >= 1: {self.dim!r}")
-        object.__setattr__(self, "factor", f)
 
     @property
     def in_dim(self):

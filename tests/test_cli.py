@@ -291,10 +291,19 @@ SOLVE_SPEC = {
         ("distance", {"domain": {"kind": "unit_disk"}, "x": 10**400, "y": 0.1}),
         ("distance", {"domain": {"kind": "unit_disk"}, "x": math.nan, "y": 0.1}),
         ("distance", {"domain": {"kind": "unit_disk"}, "x": [0.1, math.inf], "y": 0.1}),
+        ("distance", {"domain": {"kind": "affine_disk", "center": "x", "radius": 0.5},
+                      "x": 0, "y": 0.1}),
+        ("solve", {**SOLVE_SPEC, "map": {"kind": "polynomial", "coeffs": [[True]]}}),
+        ("solve", {**SOLVE_SPEC, "map": {"kind": "mobius", "a": "0.5"}}),
+        ("diameter", {"ambient": {"kind": "unit_disk"}, "inner": {"kind": "scaled_disk",
+                      "radius": 0.5}, "method": "sampled", "boundary_margin": "abc"}),
+        ("sweep", {"radii": [1e400]}),
+        ("sweep", {"radii": [0.5, 10**400]}),
     ],
     ids=["radius-str", "radii-bool", "radii-str", "dim-fraction", "factor-str",
          "max_iter-bool", "max_iter-fraction", "tolerance-str",
-         "radius-huge-int", "x-huge-int", "x-nan", "x-inf"],
+         "radius-huge-int", "x-huge-int", "x-nan", "x-inf", "center-str", "coeffs-bool",
+         "a-str", "margin-str", "sweep-radii-inf", "sweep-radii-huge-int"],
 )
 def test_strings_bools_and_fractions_are_parse_errors(command, spec, tmp_path, capsys):
     code, out = _run(capsys, [command, "--input", _write(tmp_path / "s.json", spec)])

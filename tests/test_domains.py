@@ -1,19 +1,31 @@
 """Unit tests for domain kinds: membership, sampling, exact distances."""
 
+import dataclasses
+import math
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cmetric import (
+    Affine,
     AffineDiskImage,
     AffineImage,
+    ContractionCertificate,
     DomainError,
+    FixedPointProblem,
+    Identity,
+    Mobius,
     Polydisk,
+    Polynomial,
     SampleStream,
+    ScalarScale,
     ScaledDisk,
     StructuralError,
     UnitDisk,
     as_point,
+    diameter,
 )
 
 mp.mp.dps = 40
@@ -49,6 +61,27 @@ def test_as_point_validates_dimension_and_finiteness():
     for bad in ("12", b"12", ["0.1"], [b"0.1"], [object()], [[0.1], 0.2]):
         with pytest.raises(StructuralError):
             as_point(bad)
+
+
+def test_points_too_large_for_a_double_are_structural_errors():
+    huge = 10**400
+    for call in (
+        lambda: as_point(huge),
+        lambda: as_point((0.1, huge)),
+        lambda: UnitDisk().contains(huge),
+        lambda: UnitDisk().caratheodory(0.0, huge),
+        lambda: Mobius(0.1).evaluate(huge),
+        lambda: UnitDisk().contains_many([huge]),
+        lambda: Polydisk((1.0, 1.0)).caratheodory_many([[0.1, huge]], [[0.0, 0.0]]),
+    ):
+        with pytest.raises(StructuralError, match="too large for a double"):
+            call()
+    # bools are not coordinates, and an object array is read entry by entry
+    with pytest.raises(StructuralError):
+        as_point((True, 0.0))
+    with pytest.raises(DomainError):
+        UnitDisk().contains_many(np.array([0.1, math.inf], dtype=object))
+    assert UnitDisk().contains_many(np.array([0.1, 2**70], dtype=object)).tolist() == [True, False]
 
 
 def test_sample_stream_validation():
@@ -186,6 +219,97 @@ def test_membership_margin_must_be_a_real_number():
 
 
 # -- construction validation ------------------------------------------------------
+
+
+def _set(name, shape=lambda v: v):
+    return lambda v: {name: shape(v)}
+
+
+_CERT = diameter(UnitDisk(), ScaledDisk(0.5))
+
+# class: (valid fields, numpy and integral-float fields it accepts, and where an
+# int, a real and a complex value go); UnitDisk, DiagonalProduct and Compose
+# have no numeric fields
+TYPED_FIELDS = {
+    SampleStream: (
+        dict(seed=1, count=10),
+        dict(seed=np.uint64(7), count=10.0, boundary_margin=np.float32(0.25), start=np.int64(3)),
+        _set("count"), _set("boundary_margin"), None,
+    ),
+    ScaledDisk: (dict(radius=0.5), dict(radius=np.float32(0.25)), None, _set("radius"), None),
+    AffineDiskImage: (
+        dict(center=0.1j, radius=0.5),
+        dict(center=np.complex64(0.5j), radius=np.int64(2)),
+        None, _set("radius"), _set("center"),
+    ),
+    Polydisk: (
+        dict(radii=(0.5, 1.0)), dict(radii=np.array([0.5, 2.0])),
+        None, _set("radii", lambda v: (v, 1.0)), None,
+    ),
+    AffineImage: (
+        dict(base=Polydisk((1.0, 1.0)), matrix=((1.0, 0.0), (0.0, 1.0)), offset=(0.0, 0.0)),
+        dict(matrix=np.eye(2), offset=np.zeros(2, dtype=complex)),
+        None, None, _set("matrix", lambda v: ((v, 0.0), (0.0, 1.0))),
+    ),
+    Identity: (dict(dim=2), dict(dim=np.int32(3)), _set("dim"), None, None),
+    Mobius: (dict(a=0.5), dict(a=np.complex128(0.5j)), None, None, _set("a")),
+    Polynomial: (
+        dict(coeffs=((0.1, 0.5),)), dict(coeffs=np.array([[0.1, 0.5]])),
+        None, None, _set("coeffs", lambda v: ((0.1, v),)),
+    ),
+    Affine: (
+        dict(matrix=((0.5,),), offset=(0.1,)),
+        dict(matrix=np.array([[2]]), offset=[np.float16(0.5)]),
+        None, None, _set("offset", lambda v: (v,)),
+    ),
+    ScalarScale: (
+        dict(factor=0.5, dim=2), dict(factor=np.float64(0.5), dim=2.0),
+        _set("dim"), _set("factor"), None,
+    ),
+    FixedPointProblem: (
+        dict(ambient=UnitDisk(), inner=ScaledDisk(0.5), mapping=ScalarScale(0.5), start=0.0,
+             tolerance=1e-3),
+        dict(tolerance=np.float32(0.25), max_iter=np.int64(3)),
+        _set("max_iter"), _set("tolerance"), None,
+    ),
+    ContractionCertificate: (
+        dataclasses.asdict(_CERT),
+        dict(M=np.float64(_CERT.M), sample_count=0.0, seed=np.uint64(5)),
+        _set("seed"), _set("M"), None,
+    ),
+}
+
+_PYTHON_TYPE = {"int": int, "int | None": int, "float": float, "complex": complex,
+                "tuple[float, ...]": float, "tuple[complex, ...]": complex,
+                "tuple[tuple[complex, ...], ...]": complex}
+
+
+def _scalars(value):
+    return [s for v in value for s in _scalars(v)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("cls", list(TYPED_FIELDS), ids=lambda cls: cls.__name__)
+def test_constructor_fields_are_typed(cls):
+    valid, accepted, at_int, at_real, at_complex = TYPED_FIELDS[cls]
+    bad = [at(v) for at in (at_int, at_real, at_complex) if at for v in ("2", b"1", True)]
+    bad += [at(v) for at in (at_real, at_complex) if at for v in (None, 10**400)]
+    bad += [at_int(v) for v in (2.5, Fraction(5, 2), math.nan)] if at_int else []
+    bad += [at_real(v) for v in (0.5j, math.nan, math.inf)] if at_real else []
+    for fields in bad:
+        with pytest.raises(StructuralError):
+            cls(**{**valid, **fields})
+    # a non-finite value is malformed, except that a Mobius parameter lies outside the disk
+    nonfinite = DomainError if cls is Mobius else StructuralError
+    for v in (complex(math.nan, 0.0), complex(0.0, math.inf)) if at_complex else ():
+        with pytest.raises(nonfinite):
+            cls(**{**valid, **at_complex(v)})
+    value = cls(**{**valid, **accepted})
+    for field in dataclasses.fields(cls):
+        if field.type in _PYTHON_TYPE and getattr(value, field.name) is not None:
+            scalars = _scalars(getattr(value, field.name))
+            assert {type(s) for s in scalars} == {_PYTHON_TYPE[field.type]}, field.name
+            if field.name in accepted:
+                assert scalars == np.ravel(accepted[field.name]).tolist()
 
 
 def test_domain_constructor_validation():
