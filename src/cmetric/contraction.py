@@ -34,6 +34,7 @@ from .domains import (
     SampleStream,
     _chunks,
     _polar,
+    _real,
     _sample_pairs,
     _typed,
     as_point,
@@ -176,8 +177,8 @@ def _point_from_json(data) -> Point:
 
 def contraction_constant(M: float) -> float:
     """tanh of a finite nonnegative diameter; lies in [0, 1), zero iff M = 0."""
-    M = float(M)
-    if math.isnan(M) or math.isinf(M) or M < 0.0:
+    M = _real(M, "diameter", DomainError)
+    if not M >= 0.0:
         raise DomainError(f"diameter must be finite and >= 0: {M!r}")
     return math.tanh(M)
 
@@ -335,8 +336,8 @@ def witness_lower_bound(f: HoloMap, x: PointLike, y: PointLike, k: float) -> flo
     witness; a larger value indicates a bad certificate and raises
     :class:`HypothesisError`.
     """
-    k = float(k)
-    if math.isnan(k) or not 0.0 < k < 1.0:
+    k = _real(k, "contraction constant", DomainError)
+    if not 0.0 < k < 1.0:
         raise DomainError(f"contraction constant must lie in (0, 1): {k!r}")
     if f.out_dim != 1:
         raise StructuralError("witness maps must take values in the unit disk (out_dim 1)")

@@ -11,6 +11,9 @@ within ``k^n * d0 / (1 - k)`` after n steps from the start (a priori).
 A certificate is derived from the problem's own nesting, or checked against
 it: it must not undercut that nesting's closed-form k.  Distances are measured
 in the ambient metric, which is the metric the contraction statement lives in.
+The loop carries the ambient model coordinates of its iterate: each new
+iterate is pulled once through the inner chart, for the containment
+hypothesis, and once through the ambient chart, for the step distance.
 """
 
 from __future__ import annotations
@@ -21,7 +24,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contraction import ContractionCertificate, _require_certificate
-from .domains import Domain, Point, PointLike, SampleStream, _sample_pairs, _typed, as_point
+from .domains import (
+    Domain,
+    Point,
+    PointLike,
+    SampleStream,
+    _inside,
+    _model_distance,
+    _real,
+    _sample_pairs,
+    _typed,
+    as_point,
+)
 from .errors import (
     DomainError,
     HypothesisError,
@@ -64,13 +78,13 @@ class FixedPointProblem:
     max_iter: int | None = None
 
     def __post_init__(self):
+        _typed(self)
         if self.mapping.in_dim != self.ambient.dim or self.mapping.out_dim != self.ambient.dim:
             raise StructuralError(
                 f"mapping must be a self-map of the ambient domain (dimension {self.ambient.dim})"
             )
         if self.inner.dim != self.ambient.dim:
             raise StructuralError("inner and ambient domains must share a dimension")
-        _typed(self)
         if not self.tolerance > 0.0:
             raise StructuralError(f"tolerance must be > 0: {self.tolerance!r}")
         if self.max_iter is not None and self.max_iter < 1:
@@ -104,14 +118,14 @@ def required_iterations(k: float, d0: float, tol: float) -> int:
     Returns 0 when the bound already holds with no step; k = 0 returns 1
     (a single step lands exactly on the fixed point in the degenerate case).
     """
-    k = float(k)
-    d0 = float(d0)
-    tol = float(tol)
-    if math.isnan(k) or k < 0.0 or k >= 1.0:
+    k = _real(k, "contraction constant", DomainError)
+    d0 = _real(d0, "initial step", DomainError)
+    tol = _real(tol, "tolerance", DomainError)
+    if not 0.0 <= k < 1.0:
         raise DomainError(f"contraction constant must lie in [0, 1): {k!r}")
-    if math.isnan(d0) or not d0 > 0.0 or math.isinf(d0):
+    if not d0 > 0.0:
         raise DomainError(f"initial step must be finite and > 0: {d0!r}")
-    if math.isnan(tol) or not tol > 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tolerance must be > 0: {tol!r}")
     if tol * (1.0 - k) >= d0:
         return 0
@@ -176,23 +190,24 @@ def solve(
     tol = problem.tolerance
     trace: list[float] = []
     max_iter = problem.max_iter
-    result_point: Point | None = None
+    mx = ambient._pull_point(x)  # the ambient model coordinates of the iterate
     while True:
-        x_next = f.evaluate(x)
-        # the certificate check proved inner lies inside ambient, so this covers both
-        if not inner.contains(x_next, 0.0):
+        x_next = f._evaluate_point(x)
+        if not _inside(inner._pull_point(x_next), 1.0):
             raise HypothesisError(
                 f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
                 "the image containment hypothesis fails",
                 trace,
             )
-        step = ambient.caratheodory(x, x_next)
+        my = ambient._pull_point(x_next)
+        if not _inside(my, 1.0):  # inner lies inside ambient, up to rounding
+            raise DomainError(f"iterate {x_next!r} is not inside {ambient!r}")
+        step = _model_distance(mx, my)
         trace.append(step)
         if max_iter is None:
             # theory fixes the count from the first step; the guard absorbs rounding
             max_iter = required_iterations(k, step, tol) + MAX_ITER_GUARD if step > 0.0 else 1
         if step * factor <= tol:
-            result_point = x_next
             break
         if len(trace) >= max_iter:
             raise NonConvergenceError(
@@ -200,8 +215,8 @@ def solve(
                 f"(last step {step!r}, required bound {tol * (1.0 - k) / k if k else tol!r})",
                 trace,
             )
-        x = x_next
-    residual = ambient.caratheodory(result_point, f.evaluate(result_point))
+        x, mx = x_next, my
+    residual = ambient.caratheodory(x_next, f.evaluate(x_next))
     if residual > tol:
         raise HypothesisError(
             f"fixed-point residual {residual!r} exceeds the tolerance {tol!r}; "
@@ -210,7 +225,7 @@ def solve(
         )
     n = len(trace)
     return FixedPointResult(
-        point=result_point,
+        point=x_next,
         iterations=n,
         last_step=trace[-1],
         certified_bound=trace[-1] * factor,

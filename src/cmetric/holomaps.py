@@ -31,7 +31,11 @@ from .domains import (
     UnitDisk,
     as_point,
     _chunks,
+    _instance,
+    _many,
     _points_array,
+    _READERS,
+    _real,
     _typed,
 )
 from .errors import CapabilityError, DomainError, NumericError, StructuralError
@@ -78,7 +82,10 @@ class HoloMap(abc.ABC):
 
     def evaluate(self, p: PointLike) -> Point:
         """Evaluate at a single point; raises NumericError on non-finite output."""
-        pt = as_point(p, self.in_dim)
+        return self._evaluate_point(as_point(p, self.in_dim))
+
+    def _evaluate_point(self, pt: Point) -> Point:
+        """:meth:`evaluate` at a point ``as_point`` has already read."""
         try:
             out = self._eval(pt)
         except (ZeroDivisionError, OverflowError) as exc:
@@ -109,6 +116,10 @@ class HoloMap(abc.ABC):
     @abc.abstractmethod
     def _eval(self, coords: tuple) -> tuple:
         """Output coordinates from input ones, Python ``complex`` or 1-d arrays alike."""
+
+
+_READERS["HoloMap"] = _instance(HoloMap, "a map")
+_READERS["tuple[HoloMap, ...]"] = _many(_READERS["HoloMap"])
 
 
 @dataclass(frozen=True)
@@ -376,8 +387,8 @@ def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMa
     guaranteed structurally, not just sampled.  Identical seeds produce
     structurally identical maps.
     """
-    bias = float(contraction_bias)
-    if math.isnan(bias) or not 0.0 < bias < 1.0:
+    bias = _real(contraction_bias, "contraction bias", DomainError)
+    if not 0.0 < bias < 1.0:
         raise DomainError(f"contraction bias must lie in (0, 1): {contraction_bias!r}")
     rng = np.random.default_rng(seed)
     if isinstance(domain, UnitDisk):
@@ -386,7 +397,9 @@ def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMa
         # bias * r_i * f_i(z_i / r_i): a diagonal Affine would multiply by n^2 - n zeros.
         factors = []
         for r in domain.radii:
-            f = Compose(_random_disk_selfmap(rng), ScalarScale(1.0 / r))
+            f = _random_disk_selfmap(rng)
+            if r != 1.0:  # a unit scaling is exact, so it is left out
+                f = Compose(f, ScalarScale(1.0 / r))
             factors.append(Compose(ScalarScale(bias * r), f))
         return DiagonalProduct(tuple(factors))
     raise CapabilityError(

@@ -94,6 +94,15 @@ def test_contraction_constant_rejects_bad_input(bad):
         contraction_constant(bad)
 
 
+def test_real_arguments_must_be_real_numbers():
+    for bad in ("0.5", b"0.5", None, True, 0.5j, 10**400):
+        with pytest.raises(StructuralError):
+            contraction_constant(bad)
+        with pytest.raises(StructuralError):
+            witness_lower_bound(Identity(1), 0.0, 0.25, bad)
+    assert contraction_constant(np.float32(1.0)) == contraction_constant(1)
+
+
 # -- closed-form diameters ------------------------------------------------------------
 
 

@@ -12,7 +12,9 @@ from cmetric import (
     Affine,
     AffineDiskImage,
     AffineImage,
+    Compose,
     ContractionCertificate,
+    DiagonalProduct,
     DomainError,
     FixedPointProblem,
     Identity,
@@ -27,6 +29,7 @@ from cmetric import (
     as_point,
     diameter,
 )
+from cmetric.domains import _row_max
 
 mp.mp.dps = 40
 
@@ -310,6 +313,41 @@ def test_constructor_fields_are_typed(cls):
             assert {type(s) for s in scalars} == {_PYTHON_TYPE[field.type]}, field.name
             if field.name in accepted:
                 assert scalars == np.ravel(accepted[field.name]).tolist()
+
+
+def test_fields_annotated_with_a_class_hold_instances():
+    problem = dict(ambient=UnitDisk(), inner=ScaledDisk(0.5), mapping=ScalarScale(0.5), start=0.0,
+                   tolerance=1e-3)
+    for make in (
+        lambda: Compose(1, 2),
+        lambda: Compose(Identity(), "x"),
+        lambda: DiagonalProduct((1,)),
+        lambda: DiagonalProduct((Identity(), None)),
+        lambda: AffineImage("x", ((1.0,),), (0.0,)),
+        lambda: AffineImage(Identity(), ((1.0,),), (0.0,)),
+        lambda: FixedPointProblem(**{**problem, "ambient": "x"}),
+        lambda: FixedPointProblem(**{**problem, "inner": ScalarScale(0.5)}),
+        lambda: FixedPointProblem(**{**problem, "mapping": UnitDisk()}),
+    ):
+        with pytest.raises(StructuralError):
+            make()
+    assert DiagonalProduct([Identity()]).factors == (Identity(),)
+
+
+def test_row_maxima_match_numpy_row_by_row():
+    rng = np.random.default_rng(3)
+    for width in range(1, 9):
+        values = rng.random((257, width))
+        values[5, width - 1] = np.nan
+        expected = values.max(axis=1)
+        assert _row_max(values).tobytes() == expected.tobytes()
+    disk = Polydisk((1.0, 0.5, 0.8))
+    xs, ys = (disk.sample(SampleStream(seed=s, count=1000)) for s in (1, 2))
+    per_coordinate = disk._distances(xs, ys, ("xs", "ys"))
+    assert disk.caratheodory_many(xs, ys).tobytes() == per_coordinate.max(axis=1).tobytes()
+    proximity = np.abs(disk._pull(xs)).max(axis=1)
+    assert disk.boundary_proximity_many(xs).tobytes() == proximity.tobytes()
+    assert (disk.contains_many(xs, 0.01) == (proximity < 0.99)).all()
 
 
 def test_domain_constructor_validation():

@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 
 from cmetric import (
+    Affine,
     AffineDiskImage,
+    AffineImage,
     Compose,
     ContractionCertificate,
     Domain,
     DomainError,
     FixedPointProblem,
+    FixedPointResult,
+    HoloMap,
     HypothesisError,
     Mobius,
     NonConvergenceError,
+    NumericError,
     Polydisk,
     Polynomial,
     SampleStream,
@@ -31,6 +36,7 @@ from cmetric import (
     step_contraction_check,
     uniqueness_probe,
 )
+from cmetric.fixed_point import MAX_ITER_GUARD
 
 HALF_PLUS_QUARTER = Polynomial(((0.25, 0.5),))  # z -> z/2 + 1/4, fixed point 1/2
 QUARTER_DISK = AffineDiskImage(0.25, 0.55)  # contains the image disk D(1/4, 1/2)
@@ -88,6 +94,17 @@ def test_required_iterations_bound_actually_holds():
 def test_required_iterations_rejects_bad_input(k, d0, tol):
     with pytest.raises(DomainError):
         required_iterations(k, d0, tol)
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5", b"0.5", None, True, 0.5j, 10**400],
+    ids=["text", "bytes", "none", "bool", "complex", "huge"],
+)
+def test_required_iterations_arguments_are_real_numbers(bad):
+    for args in ((bad, 1.0, 1e-3), (0.5, bad, 1e-3), (0.5, 1.0, bad)):
+        with pytest.raises(StructuralError):
+            required_iterations(*args)
+    assert required_iterations(np.float32(0.5), 1, np.float64(1e-3)) == 11
 
 
 # -- solve -------------------------------------------------------------------------
@@ -276,22 +293,116 @@ def test_looser_closed_form_certificate_is_accepted_and_still_bounds():
     assert gap <= 1e-10
 
 
-def test_solve_makes_two_domain_calls_per_iteration(monkeypatch):
+def test_solve_pulls_each_iterate_once_per_chart(monkeypatch):
     calls = Counter()
-    for name in ("contains", "caratheodory"):
+    for owner, name in ((Domain, "contains"), (Domain, "caratheodory"), (Domain, "_pull_point"),
+                        (HoloMap, "evaluate")):
 
-        def counted(self, *args, _name=name, _original=getattr(Domain, name), **kwargs):
+        def counted(self, *args, _name=name, _original=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Domain, name, counted)
-    problem = _problem()
-    result = solve(problem, diameter(problem.ambient, problem.inner))
-    n = result.iterations
-    assert n > 1
-    # the start check, one membership test and one step distance per iteration, the residual
-    assert calls == {"contains": n + 1, "caratheodory": n + 1}
-    assert sum(calls.values()) == 2 * n + 2
+        monkeypatch.setattr(owner, name, counted)
+    for problem in (_problem(), _problem(tolerance=1e-4), _polydisk_problem(3, seed=5)):
+        calls.clear()
+        n = solve(problem).iterations
+        assert n > 1
+        # the public calls check the start and the residual of the returned point
+        assert calls.pop("contains") == calls.pop("caratheodory") == calls.pop("evaluate") == 1
+        # per iteration one pull through each chart; the start's public check and
+        # its ambient model coordinates, and the residual's two points
+        assert calls == {"_pull_point": 2 * n + 4}
+
+
+def _polydisk_problem(n, seed, radii=None):
+    radii = radii or (1.0,) * n
+    bias = 0.6 + 0.05 * n
+    return FixedPointProblem(
+        ambient=Polydisk(radii),
+        inner=Polydisk(tuple(bias * r for r in radii)),
+        mapping=random_selfmap(Polydisk(radii), seed, bias),
+        start=tuple(0.3 * r * (-1) ** j for j, r in enumerate(radii)),
+        tolerance=1e-11,
+    )
+
+
+def _affine_problem(n, seed):
+    # z -> M f(M^-1 (z - c)) + c is a self-map of M Δⁿ + c with image in M (bias Δⁿ) + c
+    rng = np.random.default_rng(seed)
+    matrix = np.eye(n) + 0.3 * (rng.random((n, n)) - 0.5 + 1j * (rng.random((n, n)) - 0.5))
+    offset = 0.2 * (rng.random(n) - 0.5) + 0.2j * (rng.random(n) - 0.5)
+    inverse = np.linalg.inv(matrix)
+    bias = 0.7
+    return FixedPointProblem(
+        ambient=AffineImage(Polydisk((1.0,) * n), matrix.tolist(), offset.tolist()),
+        inner=AffineImage(Polydisk((bias,) * n), matrix.tolist(), offset.tolist()),
+        mapping=Compose(
+            Affine(matrix.tolist(), offset.tolist()),
+            Compose(random_selfmap(Polydisk((1.0,) * n), seed, bias),
+                    Affine(inverse.tolist(), (-inverse @ offset).tolist())),
+        ),
+        start=offset.tolist(),
+        tolerance=1e-10,
+    )
+
+
+def _reference_solve(problem):
+    """``solve`` written with the public calls only, for a derived certificate."""
+    ambient, inner, f = problem.ambient, problem.inner, problem.mapping
+    tol, max_iter = problem.tolerance, problem.max_iter
+    k = diameter(ambient, inner).k
+    factor = k / (1.0 - k)
+    x = problem.start
+    assert ambient.contains(x)
+    trace = []
+    while True:
+        x_next = f.evaluate(x)
+        assert inner.contains(x_next)
+        step = ambient.caratheodory(x, x_next)
+        trace.append(step)
+        if max_iter is None:
+            max_iter = required_iterations(k, step, tol) + MAX_ITER_GUARD if step > 0.0 else 1
+        if step * factor <= tol:
+            break
+        assert len(trace) < max_iter
+        x = x_next
+    assert ambient.caratheodory(x_next, f.evaluate(x_next)) <= tol
+    n = len(trace)
+    return FixedPointResult(
+        point=x_next, iterations=n, last_step=trace[-1], certified_bound=trace[-1] * factor,
+        apriori_bound=k**n * trace[0] / (1.0 - k), k_used=k, trace=tuple(trace),
+    )
+
+
+def _seeded_problems():
+    for seed in range(6):
+        bias = 0.6 + 0.05 * seed
+        yield FixedPointProblem(UnitDisk(), ScaledDisk(bias), random_selfmap(UnitDisk(), seed, bias),
+                                (0.1 * seed - 0.2j,), 1e-11)
+    for n in range(1, 5):
+        for seed in range(3):
+            yield _polydisk_problem(n, seed=10 * n + seed)
+        yield _polydisk_problem(n, seed=n, radii=(1.0, 0.5, 0.8, 0.3)[:n])
+    for n in range(1, 4):
+        for seed in range(2):
+            yield _affine_problem(n, seed=20 * n + seed)
+
+
+@pytest.mark.parametrize("problem", list(_seeded_problems()))
+def test_solve_is_byte_identical_to_the_public_call_loop(problem):
+    result = solve(problem)
+    assert result.iterations > 1
+    # repr keeps every bit of a float, the sign of a zero included
+    assert repr(result) == repr(_reference_solve(problem))
+
+
+def test_map_blowing_up_inside_the_loop_is_a_numeric_error():
+    overflow = Polynomial(((1e308, 1e308),))  # inf at 0.9
+    pole = Compose(Mobius(0.5), Polynomial(((2.0,),)))  # 2 is the Mobius pole
+    for mapping in (overflow, pole):
+        problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), mapping, (0.9,), 1e-9)
+        with pytest.raises(NumericError):
+            solve(problem)
 
 
 # -- step contraction check -----------------------------------------------------------
@@ -384,9 +495,12 @@ def test_escape_from_inner_domain_carries_the_trace_so_far():
     # z -> z/2 + 0.3 from 0 visits 0.3, 0.45, 0.525: the third iterate leaves D(0, 1/2)
     shift = Polynomial(((0.3, 0.5),))
     escaping = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), shift, 0.0, 1e-9)
-    with pytest.raises(HypothesisError) as info:
+    with pytest.raises(HypothesisError, match="at step 2") as info:
         solve(escaping)
-    assert len(info.value.trace) == 2
+    iterates = [(0.0,)]
+    for _ in range(3):
+        iterates.append(shift.evaluate(iterates[-1]))
+    assert info.value.trace == tuple(map(UnitDisk().caratheodory, iterates[:2], iterates[1:3]))
     # the steps are ambient distances, so a nesting that holds the image records the same ones
     holding = FixedPointProblem(UnitDisk(), AffineDiskImage(0.3, 0.55), shift, 0.0, 1e-9)
     assert solve(holding).trace[:2] == info.value.trace

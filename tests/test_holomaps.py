@@ -297,13 +297,36 @@ def test_random_selfmap_on_polydisk():
     assert (scaled.boundary_proximity_many(images) <= 1 + 1e-12).all()
 
 
+def _disk_factor(g):
+    """The disk self-map of a polydisk factor: below its outer scaling by
+    bias * r, and above its inner scaling by 1 / r where it has one."""
+    f = g.inner
+    return f.outer if isinstance(f, Compose) and isinstance(f.inner, ScalarScale) else f
+
+
+def _nodes(f):
+    yield f
+    for child in (getattr(f, "outer", None), getattr(f, "inner", None), *getattr(f, "factors", ())):
+        if child is not None:
+            yield from _nodes(child)
+
+
+def test_random_selfmap_leaves_out_unit_scalings():
+    for radii in ((1.0,), (1.0, 1.0, 1.0), (1.0, 0.5), (0.3, 0.8)):
+        f = random_selfmap(Polydisk(radii), seed=7, contraction_bias=0.7)
+        scales = [g.factor for g in _nodes(f) if isinstance(g, ScalarScale)]
+        assert 1.0 not in scales
+        # one outer scaling per factor, and an inner one where the radius is not 1
+        assert len(scales) == len(radii) + sum(r != 1.0 for r in radii)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_random_selfmap_on_polydisk_matches_diagonal_affine_form(n):
     # The coordinatewise scalings equal the diagonal matrices they replace.
     radii = (1.0, 0.5, 0.8, 0.3)[:n]
     dom, bias = Polydisk(radii), 0.7
     f = random_selfmap(dom, seed=60 + n, contraction_bias=bias)
-    factors = tuple(g.inner.outer for g in f.factors)
+    factors = tuple(_disk_factor(g) for g in f.factors)
 
     def diagonal(entries):
         rows = tuple(tuple(e if i == j else 0.0 for j in range(n)) for i, e in enumerate(entries))
@@ -327,3 +350,13 @@ def test_random_selfmap_rejects_unsupported_domains_and_bias():
         random_selfmap(UnitDisk(), seed=1, contraction_bias=1.0)
     with pytest.raises(DomainError):
         random_selfmap(UnitDisk(), seed=1, contraction_bias=0.0)
+
+
+def test_random_selfmap_bias_is_a_real_number():
+    for bad in ("0.5", b"0.5", None, True, 0.5j, 10**400):
+        with pytest.raises(StructuralError):
+            random_selfmap(UnitDisk(), seed=1, contraction_bias=bad)
+    for bad in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(DomainError):
+            random_selfmap(Polydisk((1.0,)), seed=1, contraction_bias=bad)
+    assert random_selfmap(UnitDisk(), 1, np.float32(0.5)) == random_selfmap(UnitDisk(), 1, 0.5)
