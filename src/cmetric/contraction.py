@@ -305,23 +305,20 @@ def diameter(
     return ContractionCertificate(M=M, k=k, method=method, sample_count=count, seed=seed)
 
 
-def _require_certificate(
-    ambient: Domain, inner: Domain, cert: ContractionCertificate | None
-) -> ContractionCertificate:
-    """``cert``, or this nesting's own certificate for ``None``.
+def _require_certificate(own_k: float, cert: ContractionCertificate | None) -> float:
+    """``cert.k``, or for ``None`` the k of the nesting's own closed-form certificate.
 
     Raises :class:`HypothesisError` unless ``cert`` is closed-form with a k no
     smaller than the nesting's own: a smaller k would blame a correct nesting.
     """
-    own = diameter(ambient, inner)
     if cert is None:
-        return own
-    if cert.method != "closed_form" or cert.k < own.k:
+        return own_k
+    if cert.method != "closed_form" or cert.k < own_k:
         raise HypothesisError(
             f"the {cert.method} certificate with k={cert.k!r} does not certify this "
-            f"nesting, whose closed-form contraction constant is k={own.k!r}"
+            f"nesting, whose closed-form contraction constant is k={own_k!r}"
         )
-    return cert
+    return cert.k
 
 
 # -- the witness lower bound ---------------------------------------------------
@@ -378,7 +375,7 @@ def verify_nesting(
     this nesting: closed-form, with a k no smaller than the nesting's own; a
     smaller k would produce false violations.
     """
-    k = _require_certificate(ambient, inner, cert).k
+    k = _require_certificate(diameter(ambient, inner).k, cert)
     max_violation, worst_pair, max_ratio = -math.inf, None, -math.inf
     for first, xs, ys in _sample_pairs(inner, stream):
         c_ambient = ambient.caratheodory_many(xs, ys, first_row=first)

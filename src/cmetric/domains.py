@@ -35,7 +35,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, StructuralError
-from .metric_core import atanh_stable, poincare_distance_many, pseudo_hyperbolic
+from .metric_core import _complex, _real, atanh_stable, poincare_distance_many, pseudo_hyperbolic
 
 __all__ = [
     "Point",
@@ -103,7 +103,8 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
 # One reader per field annotation reads a value into the annotated Python type:
 # numpy scalars and integral floats are accepted, bools, text, None, fractions for
 # an int, complex values for a real and ints too large for a double raise
-# StructuralError, and a non-finite float or complex raises ``nonfinite``.
+# StructuralError, and a non-finite float or complex raises ``nonfinite``.  The real
+# and complex readers sit in ``metric_core``, whose scalar functions read with them.
 
 
 def _integer(value, what: str, nonfinite=StructuralError) -> int:
@@ -117,24 +118,12 @@ def _integer(value, what: str, nonfinite=StructuralError) -> int:
     raise StructuralError(f"{what} must be an integer: {value!r}")
 
 
-def _number(kind: type, abc: type, noun: str):
-    def read(value, what: str, nonfinite=StructuralError):
-        if type(value) is not kind:  # ints and floats (numpy float64 too) skip the ABC check
-            if isinstance(value, bool) or not isinstance(value, (int, float, abc)):
-                raise StructuralError(f"{what} must be {noun}: {value!r}")
-            try:
-                value = kind(value)
-            except OverflowError:
-                raise StructuralError(f"{what} is too large for a double") from None
-        if not cmath.isfinite(value):
-            raise nonfinite(f"{what} must be finite: {value!r}")
-        return value
-
-    return read
-
-
-_real = _number(float, numbers.Real, "a real number")
-_complex = _number(complex, numbers.Complex, "a number")
+def _seed(value, what: str = "seed") -> int:
+    """``value`` as a seed, an integer in [0, 2**64)."""
+    seed = _integer(value, what)
+    if not 0 <= seed < 2**64:
+        raise StructuralError(f"{what} must be a 64-bit unsigned integer: {value!r}")
+    return seed
 
 
 def _sequence(value, what: str, nonfinite=StructuralError) -> tuple:
@@ -208,8 +197,7 @@ class SampleStream:
 
     def __post_init__(self):
         _typed(self)
-        if not 0 <= self.seed < 2**64:
-            raise StructuralError(f"seed must be a 64-bit unsigned integer: {self.seed!r}")
+        _seed(self.seed)
         if self.count < 1:
             raise StructuralError(f"sample count must be >= 1: {self.count!r}")
         if self.start < 0:

@@ -18,12 +18,13 @@ hypothesis, and once through the ambient chart, for the step distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contraction import ContractionCertificate, _require_certificate
+from .contraction import ContractionCertificate, _require_certificate, diameter
 from .domains import (
     Domain,
     Point,
@@ -91,6 +92,9 @@ class FixedPointProblem:
             raise StructuralError(f"max_iter must be >= 1: {self.max_iter!r}")
         object.__setattr__(self, "start", as_point(self.start, self.ambient.dim, what="start"))
 
+    # the k of this nesting's closed-form certificate, derived on the first solve
+    _own_k = functools.cached_property(lambda self: diameter(self.ambient, self.inner).k)
+
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -150,7 +154,7 @@ def step_contraction_check(
     """
     if mapping.in_dim != ambient.dim or mapping.out_dim != ambient.dim:
         raise StructuralError("contraction check needs a self-map of the ambient domain")
-    k = _require_certificate(ambient, inner, cert).k
+    k = _require_certificate(diameter(ambient, inner).k, cert)
     largest = -math.inf
     for first, xs, ys in _sample_pairs(ambient, stream):
         fxs = mapping.evaluate_many(xs)
@@ -176,13 +180,14 @@ def solve(
 
     Stops once ``step * k / (1 - k) <= tolerance`` (the a posteriori tail
     bound of the geometric series) and returns the next iterate.  ``None``
-    uses the closed-form certificate of the problem's own nesting; a ``cert``
-    passed in must be closed-form with a k no smaller than that one's.
+    uses the closed-form certificate of the problem's own nesting, derived on
+    its first solve; a ``cert`` passed in must be closed-form with a k no
+    smaller than that one's.
     Raises :class:`NonConvergenceError` when the budget runs out, and
     :class:`HypothesisError` when a hypothesis fails, each with the trace so far.
     """
     ambient, inner, f = problem.ambient, problem.inner, problem.mapping
-    k = _require_certificate(ambient, inner, cert).k
+    k = _require_certificate(problem._own_k, cert)
     x = problem.start
     if not ambient.contains(x, 0.0):
         raise DomainError(f"start {x!r} is not inside the ambient domain")

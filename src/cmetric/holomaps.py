@@ -7,17 +7,20 @@ construction, so holomorphy is a structural guarantee of the value rather
 than a runtime property to be checked.  Map values are immutable and
 evaluation is pure.
 
-Each node states its formula once, in ``_eval``, on a tuple of coordinates:
-Python ``complex`` numbers from :meth:`HoloMap.evaluate`, or the 1-d columns
-of an (n, dim) array from :meth:`HoloMap.evaluate_many` (used by the
-sampling-based checks).  Python arithmetic works on both.
+Each node states its formula once, as source, in ``_emit``; a map's first evaluation
+compiles its tree into one function of the coordinates: Python ``complex`` numbers from
+:meth:`HoloMap.evaluate`, or the 1-d columns of an (n, dim) array from
+:meth:`HoloMap.evaluate_many` (the sampling-based checks).  Python arithmetic works on both.
 """
 
 from __future__ import annotations
 
 import abc
 import cmath
+import functools
 import math
+import types
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ from .domains import (
     _points_array,
     _READERS,
     _real,
+    _seed,
     _typed,
 )
 from .errors import CapabilityError, DomainError, NumericError, StructuralError
@@ -87,7 +91,7 @@ class HoloMap(abc.ABC):
     def _evaluate_point(self, pt: Point) -> Point:
         """:meth:`evaluate` at a point ``as_point`` has already read."""
         try:
-            out = self._eval(pt)
+            out = self._fn(*pt)
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericError(f"{type(self).__name__} node blew up at {pt!r}: {exc}") from None
         for c in out:
@@ -103,7 +107,7 @@ class HoloMap(abc.ABC):
         out = np.empty((arr.shape[0], self.out_dim), dtype=complex)
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for j, col in enumerate(self._eval(tuple(arr.T))):
+                for j, col in enumerate(self._fn(*arr.T)):
                     out[:, j] = col  # a constant output broadcasts down its column
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericError(f"{type(self).__name__} node blew up: {exc}") from None
@@ -113,9 +117,41 @@ class HoloMap(abc.ABC):
 
     __call__ = evaluate
 
+    @functools.cached_property
+    def _fn(self):
+        """The map as one function, its constants bound as parameter defaults, not as
+        text: the function refers to no map, and maps of equal source share code."""
+        ins, consts, body = [f"z{i}" for i in range(self.in_dim)], [], []
+        outs = self._emit(ins, consts, body)
+        params = ", ".join(ins + [f"c{i}" for i in range(len(consts))])
+        source = f"def f({params}):\n{''.join(body)} return ({', '.join(outs)},)\n"
+        if (code := _CODE.get(source)) is None:
+            code = _CODE[source] = compile(source, "<holomap>", "exec").co_consts[0]
+        return types.FunctionType(code, globals(), "f", tuple(consts))
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_fn"}  # ``_fn`` is derived
+
     @abc.abstractmethod
-    def _eval(self, coords: tuple) -> tuple:
-        """Output coordinates from input ones, Python ``complex`` or 1-d arrays alike."""
+    def _emit(self, ins: list[str], consts: list, body: list[str]) -> list[str]:
+        """Source of each output from the input names, naming constants by ``_const``
+        and binding locals (statements in ``body``) by ``_bind``."""
+
+
+_CODE = weakref.WeakValueDictionary()  # source -> code of the maps that use it
+
+
+def _const(consts: list, value) -> str:
+    consts.append(value)
+    return f"c{len(consts) - 1}"
+
+
+def _bind(body: list[str], expr: str) -> str:
+    """A local holding ``expr``, so that it is evaluated here and once."""
+    if expr.isidentifier():
+        return expr
+    body.append(f" v{len(body)} = {expr}\n")
+    return f"v{len(body) - 1}"
 
 
 _READERS["HoloMap"] = _instance(HoloMap, "a map")
@@ -136,8 +172,8 @@ class Identity(HoloMap):
     def in_dim(self):
         return self.dim
 
-    def _eval(self, coords):
-        return coords
+    def _emit(self, ins, consts, body):
+        return ins
 
 
 @dataclass(frozen=True)
@@ -155,9 +191,10 @@ class Mobius(HoloMap):
     def in_dim(self):
         return 1
 
-    def _eval(self, coords):
-        (z,) = coords
-        return ((z - self.a) / (1.0 - self.a.conjugate() * z),)
+    def _emit(self, ins, consts, body):
+        (z,) = ins
+        a, conj_a = _const(consts, self.a), _const(consts, self.a.conjugate())
+        return [f"({z} - {a}) / (1.0 - {conj_a} * {z})"]
 
 
 @dataclass(frozen=True)
@@ -169,11 +206,6 @@ class Polynomial(HoloMap):
     """
 
     coeffs: tuple[tuple[complex, ...], ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        # Horner order: the leading coefficient, then the others from high to low power
-        object.__setattr__(self, "_horner", tuple((row[-1], row[-2::-1]) for row in self.coeffs))
 
     def _check(self):
         if not self.coeffs or not all(self.coeffs):
@@ -188,13 +220,14 @@ class Polynomial(HoloMap):
     def in_dim(self):
         return len(self.coeffs)
 
-    def _eval(self, coords):
+    def _emit(self, ins, consts, body):
         out = []
-        for z, (acc, lower) in zip(coords, self._horner):
-            for c in lower:
-                acc = acc * z + c
+        for z, row in zip(ins, self.coeffs):
+            acc = _const(consts, row[-1])  # Horner: the leading coefficient, then high to low power
+            for c in row[-2::-1]:
+                acc = f"({acc} * {z} + {_const(consts, c)})"
             out.append(acc)
-        return tuple(out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -219,11 +252,12 @@ class Affine(HoloMap):
     def out_dim(self):
         return len(self.offset)
 
-    def _eval(self, coords):
-        return tuple([
-            sum([a * z for a, z in zip(row, coords)]) + b
+    def _emit(self, ins, consts, body):
+        return [
+            f"sum([{', '.join(f'{_const(consts, a)} * {z}' for a, z in zip(row, ins))}])"
+            f" + {_const(consts, b)}"
             for row, b in zip(self.matrix, self.offset)
-        ])
+        ]
 
 
 @dataclass(frozen=True)
@@ -243,8 +277,8 @@ class DiagonalProduct(HoloMap):
     def in_dim(self):
         return len(self.factors)
 
-    def _eval(self, coords):
-        return tuple([f._eval((z,))[0] for f, z in zip(self.factors, coords)])
+    def _emit(self, ins, consts, body):
+        return [_bind(body, f._emit([z], consts, body)[0]) for f, z in zip(self.factors, ins)]
 
 
 @dataclass(frozen=True)
@@ -269,8 +303,12 @@ class Compose(HoloMap):
     def out_dim(self):
         return self.outer.out_dim
 
-    def _eval(self, coords):
-        return self.outer._eval(self.inner._eval(coords))
+    def _emit(self, ins, consts, body):
+        mid = [_bind(body, e) for e in self.inner._emit(ins, consts, body)]
+        out = [_bind(body, e) for e in self.outer._emit(mid, consts, body)]
+        # free the arrays only the outer read (``ins`` belong to the caller, ``out`` go to it)
+        body.extend(f" del {v}\n" for v in mid if v[0] == "v" and v not in ins + out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -290,8 +328,9 @@ class ScalarScale(HoloMap):
     def in_dim(self):
         return self.dim
 
-    def _eval(self, coords):
-        return tuple([self.factor * z for z in coords])
+    def _emit(self, ins, consts, body):
+        factor = _const(consts, self.factor)
+        return [f"{factor} * {z}" for z in ins]
 
 
 @dataclass(frozen=True)
@@ -384,13 +423,13 @@ def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMa
 
     The construction post-scales a convex-type combination of Mobius and
     polynomial disk self-maps by ``contraction_bias``, so the containment is
-    guaranteed structurally, not just sampled.  Identical seeds produce
-    structurally identical maps.
+    guaranteed structurally, not just sampled.  Identical seeds, integers in
+    [0, 2**64) as for :class:`SampleStream`, produce structurally identical maps.
     """
     bias = _real(contraction_bias, "contraction bias", DomainError)
     if not 0.0 < bias < 1.0:
         raise DomainError(f"contraction bias must lie in (0, 1): {contraction_bias!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     if isinstance(domain, UnitDisk):
         return Compose(ScalarScale(bias), _random_disk_selfmap(rng))
     if isinstance(domain, Polydisk):

@@ -13,17 +13,19 @@ r*x - atanh(r * tanh(x)) >= 0, the scalar inequality that turns a distance
 bound tanh(c) <= k into the linear bound c' <= k * c; it is exposed here so
 it can be checked directly.
 
-All functions are pure; invalid inputs raise :class:`DomainError` rather than
-returning non-finite values.
+All functions are pure; an argument that is no number raises :class:`StructuralError`,
+and one outside the domain :class:`DomainError`, never a non-finite value.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StructuralError
 
 __all__ = [
     "ATANH_GUARD",
@@ -43,6 +45,26 @@ ATANH_GUARD = 1e-15
 _ATANH_CEILING = 1.0 - ATANH_GUARD
 
 
+def _number(kind: type, abc: type, noun: str):  # the field readers of ``domains`` describe it
+    def read(value, what: str, nonfinite=StructuralError):
+        if type(value) is not kind:  # ints and floats (numpy float64 too) skip the ABC check
+            if isinstance(value, bool) or not isinstance(value, (int, float, abc)):
+                raise StructuralError(f"{what} must be {noun}: {value!r}")
+            try:
+                value = kind(value)
+            except OverflowError:
+                raise StructuralError(f"{what} is too large for a double") from None
+        if not cmath.isfinite(value):
+            raise nonfinite(f"{what} must be finite: {value!r}")
+        return value
+
+    return read
+
+
+_real = _number(float, numbers.Real, "a real number")
+_complex = _number(complex, numbers.Complex, "a number")
+
+
 def atanh_stable(x: float) -> float:
     """Inverse hyperbolic tangent of x in [0, 1).
 
@@ -51,7 +73,7 @@ def atanh_stable(x: float) -> float:
     at or beyond ``1 - ATANH_GUARD``, negative arguments and NaN are rejected.
     """
     if type(x) is not float:
-        x = float(x)
+        x = _real(x, "atanh argument", DomainError)
     if not x >= 0.0:  # NaN too
         raise DomainError(f"atanh argument must lie in [0, 1): got {x!r}")
     if x >= _ATANH_CEILING:
@@ -65,8 +87,8 @@ def atanh_stable(x: float) -> float:
 
 def atanh_derivative(x: float) -> float:
     """First derivative of atanh: 1 / (1 - x^2), for x in [0, 1)."""
-    x = float(x)
-    if math.isnan(x) or not 0.0 <= x < 1.0:
+    x = _real(x, "atanh derivative argument", DomainError)
+    if not 0.0 <= x < 1.0:
         raise DomainError(f"derivative of atanh evaluated outside [0, 1): {x!r}")
     return 1.0 / (1.0 - x * x)
 
@@ -77,17 +99,15 @@ def atanh_second_derivative(x: float) -> float:
     Strictly positive on (0, 1), which is the convexity that drives
     :func:`convexity_margin`.
     """
-    x = float(x)
-    if math.isnan(x) or not 0.0 < x < 1.0:
+    x = _real(x, "atanh second derivative argument", DomainError)
+    if not 0.0 < x < 1.0:
         raise DomainError(f"second derivative of atanh evaluated outside (0, 1): {x!r}")
     u = 1.0 - x * x
     return 2.0 * x / (u * u)
 
 
 def _require_in_disk(z: complex, name: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name}={z!r} has a non-finite coordinate")
+    z = _complex(z, name, DomainError)
     if abs(z) >= 1.0:
         raise DomainError(f"{name}={z!r} is not strictly inside the unit disk")
     return z
@@ -149,11 +169,11 @@ def convexity_margin(r: float, x: float) -> float:
     chord from 0 to tanh(x) lies above its graph at r*tanh(x), and
     atanh(tanh(x)) = x closes the bound.
     """
-    r = float(r)
-    x = float(x)
-    if math.isnan(r) or not 0.0 <= r < 1.0:
+    r = _real(r, "convexity margin r", DomainError)
+    x = _real(x, "convexity margin x", DomainError)
+    if not 0.0 <= r < 1.0:
         raise DomainError(f"convexity margin needs r in [0, 1): got {r!r}")
-    if math.isnan(x) or x < 0.0 or math.isinf(x):
+    if x < 0.0:
         raise DomainError(f"convexity margin needs finite x >= 0: got {x!r}")
     if r == 0.0 or x == 0.0:
         return 0.0

@@ -1,5 +1,6 @@
 """Unit tests for the certified fixed-point solver."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -36,6 +37,7 @@ from cmetric import (
     step_contraction_check,
     uniqueness_probe,
 )
+from cmetric import contraction, fixed_point
 from cmetric.fixed_point import MAX_ITER_GUARD
 
 HALF_PLUS_QUARTER = Polynomial(((0.25, 0.5),))  # z -> z/2 + 1/4, fixed point 1/2
@@ -489,6 +491,32 @@ def test_missing_certificate_is_derived_from_the_nesting():
     ) == step_contraction_check(HALF_PLUS_QUARTER, UnitDisk(), QUARTER_DISK, cert, stream)
     starts = [(0.0,), (-0.5 + 0.3j,)]
     assert uniqueness_probe(problem, None, starts) == uniqueness_probe(problem, cert, starts)
+
+
+def test_solve_derives_the_certificate_once_per_problem(monkeypatch):
+    calls = []
+    derive = contraction.diameter
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    for module in (contraction, fixed_point):  # wherever ``solve`` looks it up
+        monkeypatch.setattr(module, "diameter", counting, raising=False)
+    problem = _problem()
+    own = derive(problem.ambient, problem.inner)
+    first = solve(problem)
+    assert solve(problem) == solve(problem, own) == first
+    assert len(calls) == 1
+    small = ContractionCertificate(M=own.M / 2, k=math.tanh(own.M / 2), method="closed_form",
+                                   sample_count=0, seed=0)
+    sampled = derive(problem.ambient, problem.inner, SampleStream(seed=1, count=100))
+    for bad in (small, sampled, small, sampled):  # refused on every call, not only the first
+        with pytest.raises(HypothesisError):
+            solve(problem, bad)
+    moved = dataclasses.replace(problem, start=(0.3j,))
+    assert solve(moved).k_used == first.k_used
+    assert len(calls) == 2  # a replaced problem derives its own
 
 
 def test_escape_from_inner_domain_carries_the_trace_so_far():

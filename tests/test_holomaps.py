@@ -1,5 +1,10 @@
 """Unit tests for the holomorphic-map syntax tree and its sampling checks."""
 
+import gc
+import pickle
+import tracemalloc
+import weakref
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from cmetric import (
     Compose,
     DiagonalProduct,
     DomainError,
+    FixedPointProblem,
     Identity,
     Mobius,
     NumericError,
@@ -23,6 +29,7 @@ from cmetric import (
     image_bound,
     random_selfmap,
     schwarz_pick_gap,
+    solve,
 )
 
 mp.mp.dps = 40
@@ -153,6 +160,134 @@ def test_nonfinite_output_raises_numeric_error():
         into_pole.evaluate((0.1,))
     with pytest.raises(NumericError):
         into_pole.evaluate_many(np.array([[0.1], [0.2j]], dtype=complex))
+
+
+def _walk(f, coords):
+    """The tree walk that each node's formula states, the reference for the compiled map."""
+    if isinstance(f, Identity):
+        return tuple(coords)
+    if isinstance(f, Mobius):
+        (z,) = coords
+        return ((z - f.a) / (1.0 - f.a.conjugate() * z),)
+    if isinstance(f, Polynomial):
+        out = []
+        for z, row in zip(coords, f.coeffs):
+            acc = row[-1]
+            for c in row[-2::-1]:
+                acc = acc * z + c
+            out.append(acc)
+        return tuple(out)
+    if isinstance(f, Affine):
+        return tuple(
+            sum([a * z for a, z in zip(row, coords)]) + b for row, b in zip(f.matrix, f.offset)
+        )
+    if isinstance(f, DiagonalProduct):
+        return tuple(_walk(g, (z,))[0] for g, z in zip(f.factors, coords))
+    if isinstance(f, Compose):
+        return _walk(f.outer, _walk(f.inner, coords))
+    assert isinstance(f, ScalarScale)
+    return tuple(f.factor * z for z in coords)
+
+
+def _walk_many(f, pts):
+    out = np.empty((pts.shape[0], f.out_dim), dtype=complex)
+    with np.errstate(all="ignore"):
+        for j, col in enumerate(_walk(f, tuple(pts.T))):
+            out[:, j] = col
+    return out
+
+
+def _compiled_cases():
+    rng = np.random.default_rng(8)
+    cases = [(random_selfmap(UnitDisk(), seed, 0.8), UnitDisk()) for seed in range(12)]
+    for n in (1, 2, 3, 4):
+        for radii in ((1.0,) * n, (1.0, 0.5, 0.8, 0.3)[:n], (0.7, 1.0, 0.2, 2.5)[:n]):
+            dom = Polydisk(radii)
+            cases += [(random_selfmap(dom, 100 * n + seed, 0.7), dom) for seed in range(4)]
+    signed = Affine(((-0.0, 1.0), (0.5j, -0.0), (-0.0j, -0.0)), (-0.0, -0.0j, 0.25))
+    cases += [
+        (signed, Polydisk((0.5, 0.5))),
+        (Polynomial(((0.3 - 0.1j,), (-0.0, 0.5))), Polydisk((1.0, 1.0))),  # degree 0: a constant
+        (Identity(3), Polydisk((1.0, 1.0, 1.0))),
+    ]
+    chain = Identity(1)
+    for i in range(500):  # a 500-deep composition
+        node = Mobius(0.3 * np.exp(0.1j * i)) if i % 2 else ScalarScale(0.999)
+        chain = Compose(node, chain)
+    cases.append((chain, UnitDisk()))
+    wide = rng.uniform(-1, 1, (64, 64)) + 1j * rng.uniform(-1, 1, (64, 64))
+    cases.append((Affine(tuple(map(tuple, wide / 128)), tuple(rng.uniform(-0.1, 0.1, 64))),
+                  Polydisk((1.0,) * 64)))
+    return cases
+
+
+def test_compiled_map_equals_the_tree_walk():
+    signed_zeros = [(-0.0, 0.0), (0.0j, -0.0j), (complex(-0.0, -0.0), complex(0.0, -0.0))]
+    for f, dom in _compiled_cases():
+        pts = dom.sample(SampleStream(seed=f.in_dim, count=25))
+        points = [tuple(complex(c) for c in row) for row in pts]
+        if f.in_dim == 2:
+            points += signed_zeros
+            pts = np.vstack([pts, np.array(signed_zeros, dtype=complex)])
+        for p in points:
+            assert repr(f.evaluate(p)) == repr(_walk(f, p)), f
+        assert repr(f.evaluate_many(pts).tolist()) == repr(_walk_many(f, pts).tolist()), f
+
+
+def test_evaluate_many_frees_each_intermediate_column():
+    chain = Identity(1)
+    for i in range(200):
+        chain = Compose(Mobius(0.01j) if i % 2 else ScalarScale(0.999), chain)
+    pts = UnitDisk().sample(SampleStream(seed=3, count=4096))
+    chain.evaluate_many(pts[:1])
+    tracemalloc.start()
+    try:
+        out = chain.evaluate_many(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * out.nbytes  # 200 columns kept alive would take 200 times
+
+
+def test_numeric_error_messages_name_the_node_and_point():
+    with pytest.raises(NumericError) as pole:
+        Mobius(0.5).evaluate((2.0,))
+    assert str(pole.value) == "Mobius node blew up at ((2+0j),): complex division by zero"
+    with pytest.raises(NumericError) as pole_many:
+        Mobius(0.5).evaluate_many(np.array([[0.0], [2.0]], dtype=complex))
+    assert str(pole_many.value) == "non-finite value produced by Mobius node"
+    with pytest.raises(NumericError) as overflow:
+        Compose(ScalarScale(0.5), Polynomial(((1e308, 1e308),))).evaluate((2.0,))
+    assert str(overflow.value) == "non-finite value produced by Compose node at ((2+0j),)"
+
+
+def test_maps_stay_plain_values_after_evaluation():
+    maps = [f for f, _ in _compiled_cases()[:-2:5]]  # not the deepest and widest maps
+    for f in maps:
+        twin = pickle.loads(pickle.dumps(f))
+        before = (repr(f), hash(f), pickle.dumps(f))
+        p = (0.1j,) * f.in_dim
+        value = f.evaluate(p)
+        f.evaluate_many(np.zeros((3, f.in_dim), dtype=complex))
+        assert (repr(f), hash(f), pickle.dumps(f)) == before
+        assert f == twin and hash(f) == hash(twin)
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and repr(back.evaluate(p)) == repr(value)
+    problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.8), maps[0], 0.1, 1e-9)
+    result = solve(problem)
+    back = pickle.loads(pickle.dumps(problem))
+    assert back == problem and repr(solve(back)) == repr(result)
+    gc.disable()  # no reference cycle: an evaluated map dies on ``del`` alone
+    try:
+        f = random_selfmap(Polydisk((1.0, 0.5)), 3, 0.6)
+        f.evaluate((0.1, 0.2))
+        problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.8), maps[0], 0.1, 1e-9)
+        solve(problem)
+        refs = [weakref.ref(f), weakref.ref(problem)]
+        del f, problem
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- Schwarz-Pick gap -------------------------------------------------------------
@@ -360,3 +495,12 @@ def test_random_selfmap_bias_is_a_real_number():
         with pytest.raises(DomainError):
             random_selfmap(Polydisk((1.0,)), seed=1, contraction_bias=bad)
     assert random_selfmap(UnitDisk(), 1, np.float32(0.5)) == random_selfmap(UnitDisk(), 1, 0.5)
+
+
+def test_random_selfmap_seed_is_a_64_bit_integer():
+    for bad in (1.5, "x", -1, True, 2**64, None):
+        with pytest.raises(StructuralError, match="seed must be"):
+            random_selfmap(UnitDisk(), seed=bad, contraction_bias=0.5)
+    top = random_selfmap(Polydisk((1.0, 0.5)), 2**64 - 1, 0.5)
+    assert top == random_selfmap(Polydisk((1.0, 0.5)), np.uint64(2**64 - 1), 0.5)
+    assert random_selfmap(UnitDisk(), 7.0, 0.5) == random_selfmap(UnitDisk(), 7, 0.5)

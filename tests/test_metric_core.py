@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cmetric import (
     DomainError,
     Mobius,
+    StructuralError,
     atanh_derivative,
     atanh_second_derivative,
     atanh_stable,
@@ -287,6 +288,29 @@ def test_second_derivative_rejects_out_of_domain(bad):
 def test_first_derivative_rejects_out_of_domain(bad):
     with pytest.raises(DomainError):
         atanh_derivative(bad)
+
+
+SCALAR_ARGUMENTS = {  # each scalar argument, the others held at valid values
+    "atanh_stable": atanh_stable,
+    "atanh_derivative": atanh_derivative,
+    "atanh_second_derivative": atanh_second_derivative,
+    "convexity_margin r": lambda v: convexity_margin(v, 1.0),
+    "convexity_margin x": lambda v: convexity_margin(0.5, v),
+    "poincare_distance z": lambda v: poincare_distance(v, 0.1j),
+    "poincare_distance w": lambda v: poincare_distance(0.1j, v),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_ARGUMENTS)
+def test_scalar_arguments_must_be_numbers(name):
+    call = SCALAR_ARGUMENTS[name]
+    assert math.isfinite(call(0.5)) and call(np.float32(0.5)) == call(0.5)
+    for bad in ("0.5", b"0.5", None, True, [0.5], 10**400):
+        with pytest.raises(StructuralError):
+            call(bad)
+    for bad in (float("nan"), np.float64("nan"), math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 def test_scalar_and_array_kernels_are_bit_identical():
