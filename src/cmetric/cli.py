@@ -344,7 +344,9 @@ def main(argv=None) -> int:
             text = emit_csv(report)
         else:
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    except (CmetricError, OverflowError) as exc:
+    except (CmetricError, OverflowError, RecursionError) as exc:
+        if isinstance(exc, RecursionError):  # only a spec nested past the stack recurses so deep
+            exc = ParseError(f"input is nested too deeply: {exc}")
         label, code = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
         print(f"cmetric: {label}: {exc}", file=sys.stderr)
         return code

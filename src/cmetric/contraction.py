@@ -262,7 +262,6 @@ def diameter(
     stream: SampleStream | None = None,
     *,
     precompact_margin: float = PRECOMPACT_MARGIN,
-    cap: float = DIAMETER_CAP,
 ) -> ContractionCertificate:
     """Diameter of ``inner`` in the ambient Caratheodory metric, as a certificate.
 
@@ -274,7 +273,7 @@ def diameter(
 
     Raises :class:`HypothesisError` when the inner domain is not nested with
     at least ``precompact_margin``, and :class:`BoundednessError` when the
-    diameter is infinite, exceeds ``cap``, or is so large that tanh(M)
+    diameter is infinite, exceeds ``DIAMETER_CAP``, or is so large that tanh(M)
     rounds to 1.
     """
     if ambient.dim != inner.dim:
@@ -292,9 +291,9 @@ def diameter(
     else:
         M = _sampled_diameter(ambient, inner, stream, precompact_margin)
         method, count, seed = "sampled", stream.count, stream.seed
-    if M > cap:
+    if M > DIAMETER_CAP:
         raise BoundednessError(
-            f"diameter {M:.6g} exceeds the boundedness cap {cap:g}; the nesting is "
+            f"diameter {M:.6g} exceeds the boundedness cap {DIAMETER_CAP:g}; the nesting is "
             "numerically unbounded"
         )
     k = math.tanh(M)

@@ -15,10 +15,10 @@ reproducible sampling, boundary proximity and the distance itself.  In model
 coordinates the Caratheodory distance is the coordinatewise maximum of
 Poincare distances (the product property of the polydisk); for an invertible
 affine change of variables this is exact because biholomorphisms preserve the
-distance.  Scalar calls pull one point through a Python-complex copy of the
-chart, bit-identical to the bulk numpy path except where a full matrix (an
-affine image) rounds differently in the last bits.  Domains are immutable and
-all operations are pure, so values are safe to share across threads.
+distance.  Construction stores the chart once, read-only, in numpy for bulk
+calls and in Python complex for scalar calls, which are bit-identical except
+where a full matrix (an affine image) rounds differently in the last bits.
+Domains are immutable and all operations are pure, so values are thread-safe.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import dataclasses
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -303,11 +303,31 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+class _Chart(NamedTuple):
+    """A domain's chart A·Δⁿ + b: read-only complex arrays b, A and A^-1 (a diagonal one
+    as its diagonal row), and in ``point`` b and the rows of A^-1 in Python complex."""
+
+    offset: np.ndarray
+    matrix: np.ndarray
+    inverse: np.ndarray
+    point: tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]
+
+
+def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A x for each row x of ``rows``; a diagonal A, given as one row, scales ``rows`` in place."""
+    return rows @ matrix.T if len(matrix) > 1 else np.multiply(rows, matrix, out=rows)
+
+
+def _full(matrix: np.ndarray) -> np.ndarray:
+    """A new square array holding a chart matrix, which may be given as its diagonal row."""
+    return np.diag(matrix[0]) if len(matrix) == 1 else matrix.copy()
+
+
 class Domain(abc.ABC):
     """Open subset A·Δⁿ + b of C^n with membership, sampling and exact distance.
 
-    Each kind declares only its chart (A, b) in :meth:`_chart`; everything
-    else works on model coordinates m = A^-1 (z - b) in the unit polydisk.
+    Each kind declares only its chart (A, b) in :meth:`_chart`, stored once as
+    ``_affine``; everything else works on model coordinates m = A^-1 (z - b).
     """
 
     #: Complex dimension of the ambient space.
@@ -324,12 +344,10 @@ class Domain(abc.ABC):
                 inverse = None
         if inverse is None or not np.isfinite(inverse).all():
             raise StructuralError(f"{self!r} has an uninvertible chart")
-        # the cached arrays: row 0 is b, the rows below it are A^-1 or A (or their diagonal)
-        object.__setattr__(self, "_pull_chart", np.concatenate((offset[None, :], inverse)))
-        object.__setattr__(self, "_push_chart", np.concatenate((offset[None, :], matrix)))
-        # its scalar twin in Python complex: b, and the rows of A^-1 (or its diagonal)
-        scalar = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
-        object.__setattr__(self, "_scalar_chart", scalar)
+        for arr in (offset, matrix, inverse):
+            arr.setflags(write=False)  # ``_apply`` scales the rows it is given in place
+        point = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
+        object.__setattr__(self, "_affine", _Chart(offset, matrix, inverse, point))
         object.__setattr__(self, "dim", len(offset))
 
     def _check(self) -> None:
@@ -337,18 +355,15 @@ class Domain(abc.ABC):
 
     @abc.abstractmethod
     def _chart(self) -> tuple[np.ndarray, np.ndarray]:
-        """New complex arrays: the matrix A and the offset b of A·Δⁿ + b.
-
-        A diagonal A may be given as one row holding its diagonal.
-        """
+        """New complex arrays A and b of A·Δⁿ + b; a diagonal A may be its diagonal row."""
 
     def _pull(self, pts: np.ndarray) -> np.ndarray:
         """Model coordinates A^-1 (z - b) of an (n, dim) array of points."""
-        return _apply(self._pull_chart[1:], pts - self._pull_chart[0])
+        return _apply(self._affine.inverse, pts - self._affine.offset)
 
     def _pull_point(self, p: Point) -> list[complex]:
         """Model coordinates A^-1 (z - b) of one point, in Python complex arithmetic."""
-        offset, inverse = self._scalar_chart
+        offset, inverse = self._affine.point
         if len(inverse) == 1:
             return [(z - b) * a for z, b, a in zip(p, offset, inverse[0])]
         shifted = [z - b for z, b in zip(p, offset)]
@@ -356,15 +371,14 @@ class Domain(abc.ABC):
 
     def _push(self, model: np.ndarray) -> np.ndarray:
         """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""
-        points = _apply(self._push_chart[1:], model)
-        points += self._push_chart[0]
+        points = _apply(self._affine.matrix, model)
+        points += self._affine.offset
         return points
 
     def _relative_chart(self, other: Domain) -> tuple[np.ndarray, np.ndarray]:
         """(T, c) = (A^-1 A_other, A^-1 (b_other - b)): ``other`` in model coordinates."""
-        matrix, offset = other._chart()
-        transform = _apply(self._pull_chart[1:], _full(matrix).T).T
-        return transform, self._pull(offset[None, :])[0]
+        transform = _apply(self._affine.inverse, _full(other._affine.matrix).T).T
+        return transform, self._pull(other._affine.offset[None, :])[0]
 
     # -- membership ---------------------------------------------------------
 
@@ -378,8 +392,7 @@ class Domain(abc.ABC):
         return _inside(model, limit)
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
-        arr = _points_array(pts, self.dim, "points")
-        return _row_max(np.abs(self._pull(arr))) < _limit(margin)
+        return self.boundary_proximity_many(pts) < _limit(margin)
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
         """0 at the center, approaching 1 at the boundary, >= 1 outside."""
@@ -484,19 +497,6 @@ def _inside(model: list[complex], limit: float) -> bool:
     return True
 
 
-def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A x for each row x of ``rows``; a diagonal A, given as one row, scales ``rows`` in place."""
-    if len(matrix) > 1:
-        return rows @ matrix.T
-    rows *= matrix
-    return rows
-
-
-def _full(matrix: np.ndarray) -> np.ndarray:
-    """The square form of a chart matrix given as its diagonal row."""
-    return np.diag(matrix[0]) if len(matrix) == 1 else matrix
-
-
 @dataclass(frozen=True)
 class UnitDisk(Domain):
     """The open unit disk in C."""
@@ -579,9 +579,8 @@ class AffineImage(Domain):
             )
 
     def _chart(self):
-        base_matrix, base_offset = self.base._chart()
-        matrix = np.asarray(self.matrix, dtype=complex)
-        return matrix @ _full(base_matrix), matrix @ base_offset + np.asarray(self.offset)
+        base, matrix = self.base._affine, np.asarray(self.matrix, dtype=complex)
+        return matrix @ _full(base.matrix), matrix @ base.offset + np.asarray(self.offset)
 
     def pullback(self, p: PointLike) -> Point:
         """Preimage of ``p`` in the base domain."""

@@ -186,8 +186,12 @@ def solve(
     Raises :class:`NonConvergenceError` when the budget runs out, and
     :class:`HypothesisError` when a hypothesis fails, each with the trace so far.
     """
+    return _iterate(problem, _require_certificate(problem._own_k, cert))
+
+
+def _iterate(problem: FixedPointProblem, k: float) -> FixedPointResult:
+    """:func:`solve` with the contraction constant ``k`` of a certificate already checked."""
     ambient, inner, f = problem.ambient, problem.inner, problem.mapping
-    k = _require_certificate(problem._own_k, cert)
     x = problem.start
     if not ambient.contains(x, 0.0):
         raise DomainError(f"start {x!r} is not inside the ambient domain")
@@ -249,9 +253,11 @@ def uniqueness_probe(
 
     All starts must converge to the same point up to the certified slack
     (2 * tolerance * k / (1 - k) plus rounding); a single start returns 0.
-    ``cert`` is derived from or checked against the problem's own nesting, as in :func:`solve`.
+    ``cert`` is derived from or checked against the problem's own nesting, as in :func:`solve`,
+    once for all starts.
     """
-    points = [solve(replace(problem, start=s), cert).point for s in starts]
+    k = _require_certificate(problem._own_k, cert)
+    points = [_iterate(replace(problem, start=s), k).point for s in starts]
     spread = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):

@@ -85,8 +85,12 @@ class HoloMap(abc.ABC):
         return self.in_dim
 
     def evaluate(self, p: PointLike) -> Point:
-        """Evaluate at a single point; raises NumericError on non-finite output."""
-        return self._evaluate_point(as_point(p, self.in_dim))
+        """Evaluate at a single point; raises NumericError on non-finite output, and
+        StructuralError, as :meth:`evaluate_many` does, for a tree nested past the stack."""
+        try:
+            return self._evaluate_point(as_point(p, self.in_dim))
+        except RecursionError:
+            raise StructuralError(f"{type(self).__name__} map is nested too deeply") from None
 
     def _evaluate_point(self, pt: Point) -> Point:
         """:meth:`evaluate` at a point ``as_point`` has already read."""
@@ -103,11 +107,14 @@ class HoloMap(abc.ABC):
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Evaluate over an (n, in_dim) array, returning (n, out_dim)."""
-        arr = _points_array(pts, self.in_dim, "points")
-        out = np.empty((arr.shape[0], self.out_dim), dtype=complex)
+        try:
+            arr = _points_array(pts, self.in_dim, "points")
+            fn, out = self._fn, np.empty((arr.shape[0], self.out_dim), dtype=complex)
+        except RecursionError:
+            raise StructuralError(f"{type(self).__name__} map is nested too deeply") from None
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for j, col in enumerate(self._fn(*arr.T)):
+                for j, col in enumerate(fn(*arr.T)):
                     out[:, j] = col  # a constant output broadcasts down its column
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericError(f"{type(self).__name__} node blew up: {exc}") from None

@@ -408,6 +408,21 @@ def test_failed_run_leaves_existing_output_untouched(tmp_path):
     assert out_path.read_text(encoding="utf-8") == "sentinel"
 
 
+@pytest.mark.parametrize("depth", [600, 1200])
+def test_deeply_nested_specs_are_parse_errors(depth, tmp_path, capsys):
+    # 600 compose levels exhaust the stack while decoding the map, 1200 in the JSON reader
+    head = {"ambient": {"kind": "unit_disk"}, "inner": {"kind": "scaled_disk", "radius": 0.6},
+            "start": 0.1, "tolerance": 1e-9}
+    compose = '{"kind": "compose", "outer": {"kind": "scale", "factor": 1.0}, "inner": '
+    mapping = compose * depth + '{"kind": "scale", "factor": 0.5}' + "}" * depth
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(head)[:-1] + ', "map": ' + mapping + "}", encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    assert main(["solve", "--input", str(spec), "--out", str(out_path)]) == 2
+    assert "parse error: input is nested too deeply" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # -- diameter / verify-nesting / solve ---------------------------------------------
 
 

@@ -28,6 +28,9 @@ from cmetric import (
     UnitDisk,
     as_point,
     diameter,
+    random_selfmap,
+    solve,
+    verify_nesting,
 )
 from cmetric.domains import _row_max
 
@@ -647,3 +650,69 @@ def test_scalar_membership_puts_a_nan_pull_outside():
         domain.caratheodory(far, (0j, 0j))
     with pytest.raises(DomainError):
         domain.caratheodory((0j, 0j), far)
+
+
+# -- one chart per domain ------------------------------------------------------------
+
+KINDS = (UnitDisk, ScaledDisk, AffineDiskImage, Polydisk, AffineImage)
+
+
+def _two_level_image():
+    """A full-matrix affine image of an affine image of a bidisk, inside Polydisk((1.25, 1.5))."""
+    return AffineImage(
+        AffineImage(Polydisk((0.3, 0.3)), ((1.0, 0.2), (0.1j, 0.9)), (0.1, 0.0)),
+        ((0.8, 0.1), (0.0, 1.0)),
+        (0.0, 0.05j),
+    )
+
+
+def test_each_domain_derives_its_chart_once(monkeypatch):
+    charted = []
+    for cls in KINDS:
+
+        def counted(self, _chart=cls._chart):
+            charted.append(self)
+            return _chart(self)
+
+        monkeypatch.setattr(cls, "_chart", counted)
+    ambient, inner = Polydisk((1.25, 1.5)), _two_level_image()
+    assert len(charted) == 4 and len(set(map(id, charted))) == 4
+    for _ in range(3):
+        cert = diameter(ambient, inner)
+    verify_nesting(ambient, inner, cert, SampleStream(seed=1, count=100))
+    diameter(ambient, inner, SampleStream(seed=2, count=100))
+    assert len(charted) == 4  # 22 before the chart was stored: 7 to build, 15 to use
+    # solve pulls its iterates through a full-matrix inner chart and a diagonal ambient one
+    bidisk = Polydisk((1.0, 1.0))
+    held = AffineImage(Polydisk((0.7, 0.7)), ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
+    problem = FixedPointProblem(bidisk, held, random_selfmap(bidisk, 3, 0.6), (0.1, 0.2), 1e-9)
+    assert len(charted) == 7
+    solve(problem)
+    assert len(charted) == 7
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [UnitDisk(), ScaledDisk(0.5), AffineDiskImage(0.1 + 0.2j, 0.5), Polydisk((0.5, 2.0)),
+     _two_level_image(), AffineImage(UnitDisk(), ((2.0j,),), (0.5,))],
+    ids=["unit", "scaled", "affine-disk", "polydisk", "affine-image", "affine-image-1d"],
+)
+def test_stored_chart_arrays_are_read_only(domain):
+    for arr in domain._affine[:3]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_full_matrix_inner_keeps_its_stored_chart():
+    # the diagonal ambient scales the rows of T = A^-1 A_inner in place: on a copy of A_inner
+    ambient, inner = Polydisk((1.25, 1.5)), _two_level_image()
+    before = [(arr.tobytes(), held._affine.point) for held in (ambient, inner)
+              for arr in held._affine[:3]]
+    cert = diameter(ambient, inner)
+    verify_nesting(ambient, inner, cert, SampleStream(seed=1, count=100))
+    diameter(ambient, inner, SampleStream(seed=2, count=100))
+    assert diameter(ambient, inner) == cert
+    after = [(arr.tobytes(), held._affine.point) for held in (ambient, inner)
+             for arr in held._affine[:3]]
+    assert after == before

@@ -517,6 +517,10 @@ def test_solve_derives_the_certificate_once_per_problem(monkeypatch):
     moved = dataclasses.replace(problem, start=(0.3j,))
     assert solve(moved).k_used == first.k_used
     assert len(calls) == 2  # a replaced problem derives its own
+    starts = [(0.0,), (0.3j,), (-0.5 + 0.3j,), (0.2,)]
+    probed = _problem()
+    assert uniqueness_probe(probed, None, starts) == uniqueness_probe(probed, own, starts)
+    assert len(calls) == 3  # once per problem, not once per start
 
 
 def test_escape_from_inner_domain_carries_the_trace_so_far():

@@ -261,6 +261,20 @@ def test_numeric_error_messages_name_the_node_and_point():
     assert str(overflow.value) == "non-finite value produced by Compose node at ((2+0j),)"
 
 
+def test_maps_nested_past_the_recursion_limit_are_structural_errors():
+    f = ScalarScale(0.5)
+    for _ in range(1200):
+        f = Compose(ScalarScale(1.0), f)
+    with pytest.raises(StructuralError, match="nested too deeply"):
+        f.evaluate((0.1,))
+    with pytest.raises(StructuralError, match="nested too deeply"):
+        f.evaluate_many(np.zeros((3, 1), dtype=complex))
+    for _ in range(900):  # a shallower chain still compiles and runs
+        f = f.inner
+    assert f.evaluate((0.1,)) == (0.05 + 0j,)
+    assert f.evaluate_many([0.1]).tolist() == [[0.05 + 0j]]
+
+
 def test_maps_stay_plain_values_after_evaluation():
     maps = [f for f, _ in _compiled_cases()[:-2:5]]  # not the deepest and widest maps
     for f in maps:
