@@ -20,9 +20,9 @@ ambient domain into the unit disk normalized so that g(x) = 0.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,18 +33,15 @@ from .domains import (
     PointLike,
     SampleStream,
     _chunks,
+    _integer,
+    _many,
     _polar,
     _real,
     _sample_pairs,
     _typed,
     as_point,
 )
-from .errors import (
-    BoundednessError,
-    DomainError,
-    HypothesisError,
-    StructuralError,
-)
+from .errors import BoundednessError, DomainError, HypothesisError, StructuralError
 from .holomaps import HoloMap
 from .metric_core import ATANH_GUARD, atanh_stable
 
@@ -70,12 +67,61 @@ DIAMETER_CAP = 20.0
 BOUNDARY_BIAS = 2000.0
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
+def _json(value):
+    """A field's JSON form: reals as 17-significant-digit text, NaN as null, complex as [re, im]."""
+    if isinstance(value, float):
+        return None if math.isnan(value) else format(value, ".17g")
+    if isinstance(value, complex):
+        return [_json(value.real), _json(value.imag)]
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _real_from_text(value, what: str, nonfinite=StructuralError) -> float:
+    try:
+        if type(value) is str:
+            return _real(float(value), what)
+    except ValueError:  # a StructuralError too
+        pass
+    raise StructuralError(f"{what} must be a finite real number written as text: {value!r}")
+
+
+def _pair_from_json(value, what: str) -> tuple[Point, Point]:
+    pair = _many(_many(_many(_real_from_text)))(value, what)
+    if len(pair) != 2 or len(pair[0]) != len(pair[1]) or {len(c) for p in pair for c in p} != {2}:
+        raise StructuralError(f"{what} must be two points of one dimension: {value!r}")
+    return tuple(tuple(complex(*c) for c in p) for p in pair)
+
+
+_DECODERS = {  # a field's "json" metadata, else its annotation -> reader of its JSON form
+    "int": _integer,
+    "str": lambda value, what: value,  # the constructor checks ``method``
+    "float": _real_from_text,
+    "float | null": lambda value, what: math.nan if value is None else _real_from_text(value, what),
+    "tuple[Point, Point]": _pair_from_json,
+}
+
+
+class _JsonForm:
+    """The JSON form of a certificate or report: its fields as ``_json`` writes them."""
+
+    def to_json_dict(self) -> dict:
+        """JSON form; reals as 17-significant-digit strings (bit-exact round trip)."""
+        return {f.name: _json(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        """The value whose JSON form is ``data``; StructuralError for any other form."""
+        fields = dataclasses.fields(cls)
+        try:
+            raw = [data[f.name] for f in fields]
+        except (KeyError, TypeError) as exc:
+            raise StructuralError(f"not a {cls.__name__} JSON object: {exc!r}") from None
+        return cls(*[_DECODERS[f.metadata.get("json", f.type)](v, f"{cls.__name__}.{f.name}")
+                     for f, v in zip(fields, raw)])
 
 
 @dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(_JsonForm):
     """Diameter M, contraction constant k = tanh(M), and their provenance.
 
     ``method`` is ``"closed_form"`` for exactly derived diameters (these are
@@ -104,29 +150,9 @@ class ContractionCertificate:
         if (self.method == "closed_form") != (self.sample_count == 0):
             raise StructuralError("sample_count must be 0 exactly for closed-form certificates")
 
-    def to_json_dict(self) -> dict:
-        """JSON form; reals as 17-significant-digit strings (bit-exact round trip)."""
-        return {
-            "M": _fmt17(self.M),
-            "k": _fmt17(self.k),
-            "method": self.method,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ContractionCertificate":
-        return cls(
-            M=float(data["M"]),
-            k=float(data["k"]),
-            method=str(data["method"]),
-            sample_count=int(data["sample_count"]),
-            seed=int(data["seed"]),
-        )
-
 
 @dataclass(frozen=True)
-class NestingReport:
+class NestingReport(_JsonForm):
     """Result of checking c_ambient <= k * c_inner over sampled pairs.
 
     ``max_violation`` is the largest value of both residuals
@@ -141,38 +167,7 @@ class NestingReport:
     max_violation: float
     worst_pair: tuple[Point, Point]
     k_used: float
-    max_ratio: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs_checked": self.pairs_checked,
-            "max_violation": _fmt17(self.max_violation),
-            "worst_pair": [_point_json(self.worst_pair[0]), _point_json(self.worst_pair[1])],
-            "k_used": _fmt17(self.k_used),
-            "max_ratio": None if math.isnan(self.max_ratio) else _fmt17(self.max_ratio),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NestingReport":
-        ratio = data.get("max_ratio")
-        return cls(
-            pairs_checked=int(data["pairs_checked"]),
-            max_violation=float(data["max_violation"]),
-            worst_pair=(
-                _point_from_json(data["worst_pair"][0]),
-                _point_from_json(data["worst_pair"][1]),
-            ),
-            k_used=float(data["k_used"]),
-            max_ratio=float("nan") if ratio is None else float(ratio),
-        )
-
-
-def _point_json(p: Point) -> list:
-    return [[_fmt17(c.real), _fmt17(c.imag)] for c in p]
-
-
-def _point_from_json(data) -> Point:
-    return tuple(complex(float(re), float(im)) for re, im in data)
+    max_ratio: float = field(metadata={"json": "float | null"})  # NaN if no c_inner > 0
 
 
 def contraction_constant(M: float) -> float:
@@ -222,20 +217,6 @@ def _closed_form_tanh_diameter(ambient: Domain, inner: Domain, margin: float) ->
 # -- sampled diameters --------------------------------------------------------
 
 
-def _boundary_biased_pairs(
-    domain: Domain, stream: SampleStream
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Chunks of pairs with moduli biased toward (1 - margin) of the boundary.
-
-    Draws are laid out one row per pair, so prefixes agree across counts and
-    the running maximum of pair distances is reproducible and nondecreasing.
-    Each chunk comes with the stream row of its first pair.
-    """
-    for chunk in _chunks(stream, 2 * domain.dim):
-        model = _polar(chunk, domain.dim, 2, _rim_biased)
-        yield chunk.start, domain._push(model[:, 0, :]), domain._push(model[:, 1, :])
-
-
 def _rim_biased(u: np.ndarray) -> np.ndarray:
     return u ** (1.0 / BOUNDARY_BIAS)
 
@@ -243,11 +224,17 @@ def _rim_biased(u: np.ndarray) -> np.ndarray:
 def _sampled_diameter(
     ambient: Domain, inner: Domain, stream: SampleStream, margin: float
 ) -> float:
-    """The largest ambient distance over the stream's boundary-biased inner pairs."""
+    """The largest ambient distance over the stream's pairs of inner points.
+
+    Each row draws one pair, with moduli biased toward (1 - margin) of the boundary, so
+    prefixes agree across counts and the running maximum is reproducible and nondecreasing.
+    """
     largest = -math.inf
-    for first, xs, ys in _boundary_biased_pairs(inner, stream):
+    for chunk in _chunks(stream, 2 * inner.dim):
+        model = _polar(chunk, inner.dim, 2, _rim_biased)
+        xs, ys = inner._push(model[:, 0, :]), inner._push(model[:, 1, :])
         try:
-            distances = ambient._distances(xs, ys, ("inner samples",) * 2, margin, first)
+            distances = ambient._distances(xs, ys, ("inner samples",) * 2, margin, chunk.start)
         except DomainError as exc:
             raise HypothesisError(
                 f"{exc} with margin {margin:g}; the nesting hypothesis fails"

@@ -353,6 +353,10 @@ class Domain(abc.ABC):
     def _check(self) -> None:
         """Raise StructuralError unless the typed fields lie in their ranges and shapes."""
 
+    def __reduce__(self):
+        """Pickle as the class and its field values, so unpickling derives the chart anew."""
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
     @abc.abstractmethod
     def _chart(self) -> tuple[np.ndarray, np.ndarray]:
         """New complex arrays A and b of A·Δⁿ + b; a diagonal A may be its diagonal row."""

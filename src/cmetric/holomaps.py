@@ -69,28 +69,30 @@ MAX_POLY_DEGREE = 16
 class HoloMap(abc.ABC):
     """A holomorphic map C^in_dim -> C^out_dim, represented structurally."""
 
+    #: Dimensions of the source and target spaces, stored at construction.
+    in_dim: int
+    out_dim: int
+
+    _nonfinite = StructuralError  # raised by the field readers for a non-finite number
+
     def __post_init__(self):
-        _typed(self)
+        _typed(self, self._nonfinite)
         self._check()
+        in_dim, out_dim = self._dims()
+        object.__setattr__(self, "in_dim", in_dim)
+        object.__setattr__(self, "out_dim", out_dim)
 
     def _check(self) -> None:
         """Raise StructuralError unless the typed fields lie in their ranges and shapes."""
 
-    @property
     @abc.abstractmethod
-    def in_dim(self) -> int: ...
-
-    @property
-    def out_dim(self) -> int:
-        return self.in_dim
+    def _dims(self) -> tuple[int, int]:
+        """(in_dim, out_dim) from the fields and the children's stored dimensions."""
 
     def evaluate(self, p: PointLike) -> Point:
         """Evaluate at a single point; raises NumericError on non-finite output, and
         StructuralError, as :meth:`evaluate_many` does, for a tree nested past the stack."""
-        try:
-            return self._evaluate_point(as_point(p, self.in_dim))
-        except RecursionError:
-            raise StructuralError(f"{type(self).__name__} map is nested too deeply") from None
+        return self._evaluate_point(as_point(p, self.in_dim))
 
     def _evaluate_point(self, pt: Point) -> Point:
         """:meth:`evaluate` at a point ``as_point`` has already read."""
@@ -107,11 +109,8 @@ class HoloMap(abc.ABC):
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Evaluate over an (n, in_dim) array, returning (n, out_dim)."""
-        try:
-            arr = _points_array(pts, self.in_dim, "points")
-            fn, out = self._fn, np.empty((arr.shape[0], self.out_dim), dtype=complex)
-        except RecursionError:
-            raise StructuralError(f"{type(self).__name__} map is nested too deeply") from None
+        arr = _points_array(pts, self.in_dim, "points")
+        fn, out = self._fn, np.empty((arr.shape[0], self.out_dim), dtype=complex)
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 for j, col in enumerate(fn(*arr.T)):
@@ -129,15 +128,17 @@ class HoloMap(abc.ABC):
         """The map as one function, its constants bound as parameter defaults, not as
         text: the function refers to no map, and maps of equal source share code."""
         ins, consts, body = [f"z{i}" for i in range(self.in_dim)], [], []
-        outs = self._emit(ins, consts, body)
+        try:
+            outs = self._emit(ins, consts, body)
+        except RecursionError:  # the one walk of the tree, besides repr, ==, hash and pickle
+            raise StructuralError(f"{type(self).__name__} map is nested too deeply") from None
         params = ", ".join(ins + [f"c{i}" for i in range(len(consts))])
         source = f"def f({params}):\n{''.join(body)} return ({', '.join(outs)},)\n"
         if (code := _CODE.get(source)) is None:
             code = _CODE[source] = compile(source, "<holomap>", "exec").co_consts[0]
         return types.FunctionType(code, globals(), "f", tuple(consts))
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_fn"}  # ``_fn`` is derived
+    __reduce__ = Domain.__reduce__  # ``_fn`` and the dimensions are derived
 
     @abc.abstractmethod
     def _emit(self, ins: list[str], consts: list, body: list[str]) -> list[str]:
@@ -175,9 +176,8 @@ class Identity(HoloMap):
         if self.dim < 1:
             raise StructuralError(f"identity dimension must be >= 1: {self.dim!r}")
 
-    @property
-    def in_dim(self):
-        return self.dim
+    def _dims(self):
+        return self.dim, self.dim
 
     def _emit(self, ins, consts, body):
         return ins
@@ -189,14 +189,14 @@ class Mobius(HoloMap):
 
     a: complex
 
-    def __post_init__(self):
-        _typed(self, DomainError)  # a non-finite parameter is outside the disk too
+    _nonfinite = DomainError  # a non-finite parameter is outside the disk too
+
+    def _check(self):
         if not abs(self.a) < 1.0:
             raise DomainError(f"Mobius parameter must lie strictly inside the unit disk: {self.a!r}")
 
-    @property
-    def in_dim(self):
-        return 1
+    def _dims(self):
+        return 1, 1
 
     def _emit(self, ins, consts, body):
         (z,) = ins
@@ -223,9 +223,8 @@ class Polynomial(HoloMap):
                     f"polynomial degree {len(row) - 1} exceeds the cap {MAX_POLY_DEGREE}"
                 )
 
-    @property
-    def in_dim(self):
-        return len(self.coeffs)
+    def _dims(self):
+        return len(self.coeffs), len(self.coeffs)
 
     def _emit(self, ins, consts, body):
         out = []
@@ -251,13 +250,8 @@ class Affine(HoloMap):
         if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise StructuralError("affine map: matrix rows must share a positive width")
 
-    @property
-    def in_dim(self):
-        return len(self.matrix[0])
-
-    @property
-    def out_dim(self):
-        return len(self.offset)
+    def _dims(self):
+        return len(self.matrix[0]), len(self.offset)
 
     def _emit(self, ins, consts, body):
         return [
@@ -280,9 +274,8 @@ class DiagonalProduct(HoloMap):
             if f.in_dim != 1 or f.out_dim != 1:
                 raise StructuralError("diagonal product factors must be 1-dimensional maps")
 
-    @property
-    def in_dim(self):
-        return len(self.factors)
+    def _dims(self):
+        return len(self.factors), len(self.factors)
 
     def _emit(self, ins, consts, body):
         return [_bind(body, f._emit([z], consts, body)[0]) for f, z in zip(self.factors, ins)]
@@ -302,13 +295,8 @@ class Compose(HoloMap):
                 f"outer consumes {self.outer.in_dim}"
             )
 
-    @property
-    def in_dim(self):
-        return self.inner.in_dim
-
-    @property
-    def out_dim(self):
-        return self.outer.out_dim
+    def _dims(self):
+        return self.inner.in_dim, self.outer.out_dim
 
     def _emit(self, ins, consts, body):
         mid = [_bind(body, e) for e in self.inner._emit(ins, consts, body)]
@@ -331,9 +319,8 @@ class ScalarScale(HoloMap):
         if self.dim < 1:
             raise StructuralError(f"scale dimension must be >= 1: {self.dim!r}")
 
-    @property
-    def in_dim(self):
-        return self.dim
+    def _dims(self):
+        return self.dim, self.dim
 
     def _emit(self, ins, consts, body):
         factor = _const(consts, self.factor)

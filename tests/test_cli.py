@@ -3,11 +3,13 @@
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cmetric
 from cmetric import (
     Affine,
     AffineDiskImage,
@@ -632,10 +634,14 @@ def test_emit_csv_same_report_is_byte_identical():
 
 def test_module_entry_point_runs(tmp_path):
     spec_path = _write(tmp_path / "d.json", {"domain": {"kind": "unit_disk"}, "x": 0, "y": 0.25})
+    # the child imports the package these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(cmetric.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cmetric", "distance", "--input", spec_path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "distance"

@@ -406,6 +406,87 @@ def test_nesting_report_json_round_trip():
     data = json.loads(json.dumps(report.to_json_dict()))
     back = NestingReport.from_json_dict(data)
     assert back == report
+    # no pair with c_inner > 0: max_ratio is NaN, written as null; NaN != NaN, so compare forms
+    no_ratio = NestingReport(3, -0.5, ((0.1 + 0.2j,), (-0.3j,)), 0.5, math.nan)
+    data = json.loads(json.dumps(no_ratio.to_json_dict()))
+    assert data["max_ratio"] is None
+    assert math.isnan(NestingReport.from_json_dict(data).max_ratio)
+    assert NestingReport.from_json_dict(data).to_json_dict() == data
+
+
+# the exact JSON forms of an earlier release: the bytes the CLI prints and the benchmark hashes
+BIDISK_REPORT_JSON = {
+    "pairs_checked": 500,
+    "max_violation": "-0.095967626211899415",
+    "worst_pair": [
+        [["-0.0039498231085577139", "0.098704958291569736"],
+         ["0.21329172200111615", "0.30959156873497368"]],
+        [["-0.030290749830391508", "0.1524660162833974"],
+         ["0.066359537332319501", "0.21312782511181319"]],
+    ],
+    "k_used": "0.93959731543624159",
+    "max_ratio": "0.66920772363561531",
+}
+SAMPLED_CERT_JSON = {
+    "M": "1.1972430877736817",
+    "k": "0.83281175866174739",
+    "method": "sampled",
+    "sample_count": 5000,
+    "seed": 42,
+}
+
+
+def test_json_forms_are_pinned():
+    bidisk, inner = Polydisk((1.0, 1.0)), Polydisk((0.5, 0.7))
+    report = verify_nesting(bidisk, inner, diameter(bidisk, inner), SampleStream(5, 500))
+    cert = diameter(UnitDisk(), AffineDiskImage(0.1 + 0.2j, 0.5), SampleStream(42, 5000))
+    for value, form in ((report, BIDISK_REPORT_JSON), (cert, SAMPLED_CERT_JSON)):
+        assert json.dumps(value.to_json_dict()) == json.dumps(form)  # key order too
+        assert type(value).from_json_dict(form) == value
+
+
+def _edit(form: dict, **fields) -> dict:
+    return {**form, **fields}
+
+
+def _without(form: dict, name: str) -> dict:
+    return {k: v for k, v in form.items() if k != name}
+
+
+@pytest.mark.parametrize(
+    "cls, data",
+    [
+        (ContractionCertificate, _without(SAMPLED_CERT_JSON, "seed")),
+        (NestingReport, _without(BIDISK_REPORT_JSON, "max_ratio")),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M="abc")),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M=1.1972430877736817)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, k=None)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M="nan")),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, k_used=["0.5"])),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, max_violation=None)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, sample_count=0.7)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, seed=3.9)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, seed=True)),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, pairs_checked=2.5)),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, worst_pair=BIDISK_REPORT_JSON["worst_pair"][:1])),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, worst_pair=[[["0.1", "0.2"]], []])),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, worst_pair=[[["0.1", "0.2"]], [["0.1"]]])),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, worst_pair=[[], []])),
+        (NestingReport, _edit(BIDISK_REPORT_JSON, worst_pair="ab")),
+        (ContractionCertificate, [SAMPLED_CERT_JSON]),
+        (NestingReport, "report"),
+        (NestingReport, None),
+    ],
+    ids=[
+        "missing-seed", "missing-max-ratio", "text-real", "json-number-real", "null-real",
+        "nan-text", "list-real", "null-violation", "fractional-count", "fractional-seed",
+        "bool-seed", "fractional-pairs", "one-point", "empty-point", "short-coordinate",
+        "no-coordinates", "text-pair", "list", "text", "null",
+    ],
+)
+def test_malformed_json_forms_are_structural_errors(cls, data):
+    with pytest.raises(StructuralError):
+        cls.from_json_dict(data)
 
 
 def test_verify_nesting_rejects_the_certificate_of_another_nesting():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath as mp
@@ -694,8 +695,10 @@ def test_each_domain_derives_its_chart_once(monkeypatch):
 @pytest.mark.parametrize(
     "domain",
     [UnitDisk(), ScaledDisk(0.5), AffineDiskImage(0.1 + 0.2j, 0.5), Polydisk((0.5, 2.0)),
-     _two_level_image(), AffineImage(UnitDisk(), ((2.0j,),), (0.5,))],
-    ids=["unit", "scaled", "affine-disk", "polydisk", "affine-image", "affine-image-1d"],
+     _two_level_image(), AffineImage(UnitDisk(), ((2.0j,),), (0.5,)),
+     pickle.loads(pickle.dumps(_two_level_image()))],
+    ids=["unit", "scaled", "affine-disk", "polydisk", "affine-image", "affine-image-1d",
+         "unpickled"],
 )
 def test_stored_chart_arrays_are_read_only(domain):
     for arr in domain._affine[:3]:

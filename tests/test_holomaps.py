@@ -269,6 +269,11 @@ def test_maps_nested_past_the_recursion_limit_are_structural_errors():
         f.evaluate((0.1,))
     with pytest.raises(StructuralError, match="nested too deeply"):
         f.evaluate_many(np.zeros((3, 1), dtype=complex))
+    # its dimensions are stored, so a problem over it builds; the compile then fails as above
+    assert (f.in_dim, f.out_dim) == (1, 1)
+    problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.6), f, 0.1, 1e-9)
+    with pytest.raises(StructuralError, match="nested too deeply"):
+        solve(problem)
     for _ in range(900):  # a shallower chain still compiles and runs
         f = f.inner
     assert f.evaluate((0.1,)) == (0.05 + 0j,)
