@@ -10,125 +10,23 @@ and :mod:`~cmetric.fixed_point` turns that constant into geometric-rate
 iteration with certified error bounds.  :mod:`~cmetric.holomaps` supplies the
 structurally holomorphic maps everything is checked against, and
 :mod:`~cmetric.cli` exposes the lot as the ``cmetric`` command.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .errors import (
-    BoundednessError,
-    CapabilityError,
-    CmetricError,
-    DomainError,
-    HypothesisError,
-    NonConvergenceError,
-    NumericError,
-    ParseError,
-    StructuralError,
-)
-from .metric_core import (
-    atanh_stable,
-    atanh_derivative,
-    atanh_second_derivative,
-    convexity_margin,
-    poincare_distance,
-    poincare_distance_many,
-)
-from .domains import (
-    AffineDiskImage,
-    AffineImage,
-    Domain,
-    Point,
-    Polydisk,
-    SampleStream,
-    ScaledDisk,
-    UnitDisk,
-    as_point,
-)
-from .holomaps import (
-    Affine,
-    Compose,
-    DiagonalProduct,
-    HoloMap,
-    Identity,
-    ImageBoundReport,
-    Mobius,
-    Polynomial,
-    ScalarScale,
-    image_bound,
-    random_selfmap,
-    schwarz_pick_gap,
-)
-from .contraction import (
-    ContractionCertificate,
-    NestingReport,
-    contraction_constant,
-    diameter,
-    verify_nesting,
-    witness_lower_bound,
-)
-from .fixed_point import (
-    FixedPointProblem,
-    FixedPointResult,
-    required_iterations,
-    solve,
-    step_contraction_check,
-    uniqueness_probe,
-)
+from . import errors, metric_core, domains, holomaps, contraction, fixed_point
+from .errors import *
+from .metric_core import *
+from .domains import *
+from .holomaps import *
+from .contraction import *
+from .fixed_point import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "CmetricError",
-    "ParseError",
-    "DomainError",
-    "StructuralError",
-    "CapabilityError",
-    "HypothesisError",
-    "BoundednessError",
-    "NumericError",
-    "NonConvergenceError",
-    # metric core
-    "atanh_stable",
-    "atanh_derivative",
-    "atanh_second_derivative",
-    "convexity_margin",
-    "poincare_distance",
-    "poincare_distance_many",
-    # domains
-    "Point",
-    "as_point",
-    "SampleStream",
-    "Domain",
-    "UnitDisk",
-    "ScaledDisk",
-    "AffineDiskImage",
-    "Polydisk",
-    "AffineImage",
-    # holomorphic maps
-    "HoloMap",
-    "Identity",
-    "Mobius",
-    "Polynomial",
-    "Affine",
-    "DiagonalProduct",
-    "Compose",
-    "ScalarScale",
-    "ImageBoundReport",
-    "schwarz_pick_gap",
-    "image_bound",
-    "random_selfmap",
-    # contraction
-    "ContractionCertificate",
-    "NestingReport",
-    "diameter",
-    "contraction_constant",
-    "witness_lower_bound",
-    "verify_nesting",
-    # fixed point
-    "FixedPointProblem",
-    "FixedPointResult",
-    "required_iterations",
-    "step_contraction_check",
-    "solve",
-    "uniqueness_probe",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, metric_core, domains, holomaps, contraction, fixed_point)
+    for name in module.__all__
 ]

@@ -35,6 +35,7 @@ from .domains import (
     _chunks,
     _integer,
     _many,
+    _margin,
     _polar,
     _real,
     _sample_pairs,
@@ -43,7 +44,7 @@ from .domains import (
 )
 from .errors import BoundednessError, DomainError, HypothesisError, StructuralError
 from .holomaps import HoloMap
-from .metric_core import ATANH_GUARD, atanh_stable
+from .metric_core import ATANH_GUARD, atanh_stable, pseudo_hyperbolic
 
 __all__ = [
     "ContractionCertificate",
@@ -52,8 +53,6 @@ __all__ = [
     "contraction_constant",
     "witness_lower_bound",
     "verify_nesting",
-    "DIAMETER_CAP",
-    "BOUNDARY_BIAS",
 ]
 
 # Diameters beyond this are declared numerically unbounded: k = tanh(M) is
@@ -263,6 +262,7 @@ def diameter(
     diameter is infinite, exceeds ``DIAMETER_CAP``, or is so large that tanh(M)
     rounds to 1.
     """
+    precompact_margin = _margin(precompact_margin, "precompact_margin")
     if ambient.dim != inner.dim:
         raise StructuralError(
             f"dimension mismatch: ambient has {ambient.dim}, inner has {inner.dim}"
@@ -331,7 +331,7 @@ def witness_lower_bound(f: HoloMap, x: PointLike, y: PointLike, k: float) -> flo
             raise HypothesisError(
                 f"witness map leaves the unit disk at {name}: |f({name})| = {abs(img)!r}"
             )
-    t = abs((fy - fx) / (1.0 - fx.conjugate() * fy))
+    t = pseudo_hyperbolic(fy, fx)
     if t > k:
         raise HypothesisError(
             f"witness value {t!r} exceeds the certificate constant k={k!r}; "

@@ -47,8 +47,6 @@ __all__ = [
     "AffineDiskImage",
     "Polydisk",
     "AffineImage",
-    "DEFAULT_BOUNDARY_MARGIN",
-    "PRECOMPACT_MARGIN",
 ]
 
 #: A point of C^n: one complex number per coordinate.
@@ -213,6 +211,8 @@ def _chunks(stream: SampleStream, width: int) -> Iterator[SampleStream]:
 
     ``width`` is the number of coordinates one row draws points for.
     """
+    if not isinstance(stream, SampleStream):
+        raise StructuralError(f"stream must be a SampleStream: {stream!r}")
     rows = max(1, CHUNK // width)
     end = stream.start + stream.count
     for first in range(stream.start, end, rows):
@@ -392,11 +392,11 @@ class Domain(abc.ABC):
         The proximity proxy is the max modulus of the model coordinates; the
         test is ``max_i |m_i| < 1 - margin`` (strict: domains are open).
         """
-        model, limit = self._pull_point(as_point(p, self.dim)), _limit(margin)
+        model, limit = self._pull_point(as_point(p, self.dim)), 1.0 - _margin(margin)
         return _inside(model, limit)
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
-        return self.boundary_proximity_many(pts) < _limit(margin)
+        return self.boundary_proximity_many(pts) < 1.0 - _margin(margin)
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
         """0 at the center, approaching 1 at the boundary, >= 1 outside."""
@@ -485,12 +485,12 @@ def _row_max(values: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, values.T)
 
 
-def _limit(margin: float) -> float:
-    """The bound 1 - margin on model moduli; the margin must be a finite real number >= 0."""
-    margin = _real(margin, "membership margin", DomainError)
+def _margin(margin: float, what: str = "membership margin") -> float:
+    """``margin`` as a finite real number >= 0; model moduli are bounded by 1 - margin."""
+    margin = _real(margin, what, DomainError)
     if margin < 0.0:
-        raise DomainError(f"membership margin must be >= 0: {margin!r}")
-    return 1.0 - margin
+        raise DomainError(f"{what} must be >= 0: {margin!r}")
+    return margin
 
 
 def _inside(model: list[complex], limit: float) -> bool:

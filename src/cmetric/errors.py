@@ -5,6 +5,18 @@ mapping) can tell input mistakes, violated mathematical hypotheses, numerical
 blowups and iteration failures apart.
 """
 
+__all__ = [
+    "CmetricError",
+    "ParseError",
+    "DomainError",
+    "StructuralError",
+    "CapabilityError",
+    "HypothesisError",
+    "BoundednessError",
+    "NumericError",
+    "NonConvergenceError",
+]
+
 
 class CmetricError(Exception):
     """Base class for all errors raised by this package.

@@ -52,7 +52,6 @@ __all__ = [
     "step_contraction_check",
     "solve",
     "uniqueness_probe",
-    "MAX_ITER_GUARD",
 ]
 
 # Extra steps granted beyond the theoretical count when max_iter is derived

@@ -58,7 +58,6 @@ __all__ = [
     "schwarz_pick_gap",
     "image_bound",
     "random_selfmap",
-    "MAX_POLY_DEGREE",
 ]
 
 # Coefficient lists beyond this degree are rejected: high-degree monomials are

@@ -28,13 +28,11 @@ import numpy as np
 from .errors import DomainError, StructuralError
 
 __all__ = [
-    "ATANH_GUARD",
     "atanh_stable",
     "atanh_derivative",
     "atanh_second_derivative",
     "poincare_distance",
     "poincare_distance_many",
-    "pseudo_hyperbolic",
     "convexity_margin",
 ]
 

@@ -22,6 +22,7 @@ from cmetric import (
     Polydisk,
     SampleStream,
     ScaledDisk,
+    StructuralError,
     UnitDisk,
     diameter,
     image_bound,
@@ -197,3 +198,18 @@ def test_sampled_diameter_error_names_the_stream_row(seed):
     assert row >= CHUNK // 2  # past the first chunk of pairs
     with pytest.raises(HypothesisError, match=rf"^inner samples\[{row}\] = "):
         diameter(UnitDisk(), inner, stream)
+
+
+@pytest.mark.parametrize("stream", [None, "x", 5])
+def test_sampled_reductions_read_their_stream(stream):
+    ambient, inner, mapping, image = CASES["dim1"]
+    calls = [
+        lambda: verify_nesting(ambient, inner, None, stream),
+        lambda: step_contraction_check(mapping, ambient, image, None, stream),
+        lambda: image_bound(mapping, ambient, image, stream),
+    ]
+    if stream is not None:  # no stream is the closed-form diameter
+        calls.append(lambda: diameter(ambient, inner, stream))
+    for call in calls:
+        with pytest.raises(StructuralError, match="^stream must be a SampleStream"):
+            call()

@@ -175,6 +175,25 @@ def test_diameter_boundedness_and_hypothesis_errors():
         diameter(UnitDisk(), ScaledDisk(1 - 1e-12), precompact_margin=1e-14)
 
 
+@pytest.mark.parametrize(
+    "margin, error",
+    [
+        (math.nan, DomainError),
+        (-0.5, DomainError),
+        (math.inf, DomainError),
+        ("1e-9", StructuralError),
+        (None, StructuralError),
+        (True, StructuralError),
+    ],
+)
+def test_diameter_reads_its_precompact_margin(margin, error):
+    # a nesting with margin 1e-7, refused at the default 1e-6
+    inner = AffineDiskImage(0.5, 0.4999999)
+    for stream in (None, SampleStream(seed=1, count=100)):
+        with pytest.raises(error, match="^precompact_margin "):
+            diameter(UnitDisk(), inner, stream, precompact_margin=margin)
+
+
 def test_diameter_dimension_and_capability_errors():
     with pytest.raises(StructuralError):
         diameter(UnitDisk(), Polydisk((0.3, 0.3)))

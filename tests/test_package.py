@@ -1,0 +1,50 @@
+"""Package-level tests: the export rule and the README's examples."""
+
+import pathlib
+import re
+import shlex
+
+import cmetric
+from cmetric import contraction, domains, errors, fixed_point, holomaps, metric_core
+from cmetric.cli import main
+
+MODULES = (errors, metric_core, domains, holomaps, contraction, fixed_point)
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_package_exports_each_module_list_once():
+    joined = [name for module in MODULES for name in module.__all__]
+    assert cmetric.__all__ == ["__version__", *joined]
+    assert len(set(cmetric.__all__)) == len(cmetric.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(cmetric, name) is getattr(module, name)
+    star = {}
+    exec("from cmetric import *", star)
+    assert set(star) - {"__builtins__"} == set(cmetric.__all__)
+
+
+def _block(text, lang, after):
+    """The first fenced ``lang`` block of ``text`` that follows the line ``after``."""
+    return re.search(rf"^{re.escape(after)}\n.*?^```{lang}\n(.*?)^```$", text, re.M | re.S)[1]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    exec(_block(text, "python", "## Library quickstart"), {})
+    assert capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for line in _block(text, "sh", "Example:").splitlines():
+        words = shlex.split(line)
+        if words[0] == "echo":
+            assert words[2] == ">"
+            (tmp_path / words[3]).write_text(words[1] + "\n", encoding="utf-8")
+        else:
+            assert words[0] == "cmetric"
+            assert main(words[1:]) == 0
+            commands += 1
+    assert commands == 2
+    rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0].startswith("config,") and len(rows) == 1 + 5
