@@ -33,17 +33,19 @@ from .domains import (
     PointLike,
     SampleStream,
     _chunks,
+    _instance,
     _integer,
     _many,
     _margin,
     _polar,
+    _READERS,
     _real,
     _sample_pairs,
     _typed,
     as_point,
 )
 from .errors import BoundednessError, DomainError, HypothesisError, StructuralError
-from .holomaps import HoloMap
+from .holomaps import HoloMap, _map_between
 from .metric_core import ATANH_GUARD, atanh_stable, pseudo_hyperbolic
 
 __all__ = [
@@ -54,11 +56,6 @@ __all__ = [
     "witness_lower_bound",
     "verify_nesting",
 ]
-
-# Diameters beyond this are declared numerically unbounded: k = tanh(M) is
-# then within 1e-17 of 1 and the strengthened inequality carries no content
-# at double precision.
-DIAMETER_CAP = 20.0
 
 # Exponent biasing sampled pair moduli toward the rim (u -> u**(1/BIAS)); the
 # sup of the distance is approached at antipodal near-boundary points, and
@@ -259,10 +256,11 @@ def diameter(
 
     Raises :class:`HypothesisError` when the inner domain is not nested with
     at least ``precompact_margin``, and :class:`BoundednessError` when the
-    diameter is infinite, exceeds ``DIAMETER_CAP``, or is so large that tanh(M)
-    rounds to 1.
+    diameter is infinite or k is within ``ATANH_GUARD`` of 1; every M comes
+    from a quotient below ``1 - ATANH_GUARD``, so M < 17.6 and tanh(M) < 1.
     """
     precompact_margin = _margin(precompact_margin, "precompact_margin")
+    ambient, inner = _READERS["Domain"](ambient, "ambient"), _READERS["Domain"](inner, "inner")
     if ambient.dim != inner.dim:
         raise StructuralError(
             f"dimension mismatch: ambient has {ambient.dim}, inner has {inner.dim}"
@@ -278,17 +276,10 @@ def diameter(
     else:
         M = _sampled_diameter(ambient, inner, stream, precompact_margin)
         method, count, seed = "sampled", stream.count, stream.seed
-    if M > DIAMETER_CAP:
-        raise BoundednessError(
-            f"diameter {M:.6g} exceeds the boundedness cap {DIAMETER_CAP:g}; the nesting is "
-            "numerically unbounded"
-        )
-    k = math.tanh(M)
-    if k >= 1.0:
-        raise BoundednessError(
-            "contraction constant is indistinguishable from 1 at double precision"
-        )
-    return ContractionCertificate(M=M, k=k, method=method, sample_count=count, seed=seed)
+    return ContractionCertificate(M=M, k=math.tanh(M), method=method, sample_count=count, seed=seed)
+
+
+_certificate = _instance(ContractionCertificate, "a ContractionCertificate")
 
 
 def _require_certificate(own_k: float, cert: ContractionCertificate | None) -> float:
@@ -299,6 +290,7 @@ def _require_certificate(own_k: float, cert: ContractionCertificate | None) -> f
     """
     if cert is None:
         return own_k
+    cert = _certificate(cert, "cert")
     if cert.method != "closed_form" or cert.k < own_k:
         raise HypothesisError(
             f"the {cert.method} certificate with k={cert.k!r} does not certify this "
@@ -322,8 +314,7 @@ def witness_lower_bound(f: HoloMap, x: PointLike, y: PointLike, k: float) -> flo
     k = _real(k, "contraction constant", DomainError)
     if not 0.0 < k < 1.0:
         raise DomainError(f"contraction constant must lie in (0, 1): {k!r}")
-    if f.out_dim != 1:
-        raise StructuralError("witness maps must take values in the unit disk (out_dim 1)")
+    f = _map_between(f, None, 1, "f")
     fx = f.evaluate(as_point(x, f.in_dim, what="x"))[0]
     fy = f.evaluate(as_point(y, f.in_dim, what="y"))[0]
     for name, img in (("x", fx), ("y", fy)):

@@ -206,13 +206,15 @@ class SampleStream:
             )
 
 
+_stream = _instance(SampleStream, "a SampleStream")
+
+
 def _chunks(stream: SampleStream, width: int) -> Iterator[SampleStream]:
     """Consecutive row ranges of ``stream``, each of at most CHUNK coordinates.
 
     ``width`` is the number of coordinates one row draws points for.
     """
-    if not isinstance(stream, SampleStream):
-        raise StructuralError(f"stream must be a SampleStream: {stream!r}")
+    stream = _stream(stream, "stream")
     rows = max(1, CHUNK // width)
     end = stream.start + stream.count
     for first in range(stream.start, end, rows):
@@ -413,7 +415,7 @@ class Domain(abc.ABC):
         forward through the domain's affine chart.  Deterministic in the seed;
         row r is the same point whatever range of rows a stream names.
         """
-        return self._push(_polar(stream, self.dim, 1, np.sqrt)[:, 0, :])
+        return self._push(_polar(_stream(stream, "stream"), self.dim, 1, np.sqrt)[:, 0, :])
 
     # -- distance ------------------------------------------------------------
 

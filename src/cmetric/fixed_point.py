@@ -31,6 +31,7 @@ from .domains import (
     PointLike,
     SampleStream,
     _inside,
+    _instance,
     _model_distance,
     _real,
     _sample_pairs,
@@ -43,7 +44,7 @@ from .errors import (
     NonConvergenceError,
     StructuralError,
 )
-from .holomaps import HoloMap
+from .holomaps import HoloMap, _map_between
 
 __all__ = [
     "FixedPointProblem",
@@ -79,10 +80,7 @@ class FixedPointProblem:
 
     def __post_init__(self):
         _typed(self)
-        if self.mapping.in_dim != self.ambient.dim or self.mapping.out_dim != self.ambient.dim:
-            raise StructuralError(
-                f"mapping must be a self-map of the ambient domain (dimension {self.ambient.dim})"
-            )
+        _map_between(self.mapping, self.ambient.dim, self.ambient.dim, "FixedPointProblem.mapping")
         if self.inner.dim != self.ambient.dim:
             raise StructuralError("inner and ambient domains must share a dimension")
         if not self.tolerance > 0.0:
@@ -93,6 +91,9 @@ class FixedPointProblem:
 
     # the k of this nesting's closed-form certificate, derived on the first solve
     _own_k = functools.cached_property(lambda self: diameter(self.ambient, self.inner).k)
+
+
+_problem = _instance(FixedPointProblem, "a FixedPointProblem")
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,8 @@ def step_contraction_check(
     Nonpositive up to rounding for a valid setup.  ``cert`` is handled as in
     :func:`solve`; it and image points leaving ``inner`` raise :class:`HypothesisError`.
     """
-    if mapping.in_dim != ambient.dim or mapping.out_dim != ambient.dim:
-        raise StructuralError("contraction check needs a self-map of the ambient domain")
     k = _require_certificate(diameter(ambient, inner).k, cert)
+    mapping = _map_between(mapping, ambient.dim, ambient.dim, "mapping")
     largest = -math.inf
     for first, xs, ys in _sample_pairs(ambient, stream):
         fxs = mapping.evaluate_many(xs)
@@ -185,6 +185,7 @@ def solve(
     Raises :class:`NonConvergenceError` when the budget runs out, and
     :class:`HypothesisError` when a hypothesis fails, each with the trace so far.
     """
+    problem = _problem(problem, "problem")
     return _iterate(problem, _require_certificate(problem._own_k, cert))
 
 
@@ -255,6 +256,7 @@ def uniqueness_probe(
     ``cert`` is derived from or checked against the problem's own nesting, as in :func:`solve`,
     once for all starts.
     """
+    problem = _problem(problem, "problem")
     k = _require_certificate(problem._own_k, cert)
     points = [_iterate(replace(problem, start=s), k).point for s in starts]
     spread = 0.0

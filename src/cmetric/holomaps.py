@@ -165,6 +165,16 @@ _READERS["HoloMap"] = _instance(HoloMap, "a map")
 _READERS["tuple[HoloMap, ...]"] = _many(_READERS["HoloMap"])
 
 
+def _map_between(f, in_dim: int | None, out_dim: int, what: str) -> HoloMap:
+    """``f`` read as a map from C^in_dim (from any dimension for ``None``) to C^out_dim."""
+    f = _READERS["HoloMap"](f, what)
+    if f.out_dim != out_dim or in_dim not in (None, f.in_dim):
+        raise StructuralError(
+            f"{what} must map dimension {in_dim or 'n'} to {out_dim}, not {f.in_dim} to {f.out_dim}"
+        )
+    return f
+
+
 @dataclass(frozen=True)
 class Identity(HoloMap):
     """z -> z in the given dimension."""
@@ -270,8 +280,7 @@ class DiagonalProduct(HoloMap):
         if not self.factors:
             raise StructuralError("diagonal product needs at least one factor")
         for f in self.factors:
-            if f.in_dim != 1 or f.out_dim != 1:
-                raise StructuralError("diagonal product factors must be 1-dimensional maps")
+            _map_between(f, 1, 1, "DiagonalProduct.factors")
 
     def _dims(self):
         return len(self.factors), len(self.factors)
@@ -349,8 +358,7 @@ def schwarz_pick_gap(f: HoloMap, z: complex, w: complex) -> float:
     Nonnegative up to rounding: holomorphic maps never increase the Poincare
     distance, with equality exactly for disk automorphisms.
     """
-    if f.in_dim != 1 or f.out_dim != 1:
-        raise StructuralError("Schwarz-Pick gap is defined for 1-dimensional self-maps")
+    f = _map_between(f, 1, 1, "f")
     base = poincare_distance(z, w)
     fz = f.evaluate((z,))[0]
     fw = f.evaluate((w,))[0]
@@ -371,14 +379,8 @@ def image_bound(
     ``margin_to_target <= 0`` rather than an exception: callers decide how to
     treat the failed containment.
     """
-    if f.in_dim != source.dim:
-        raise StructuralError(
-            f"map consumes dimension {f.in_dim}, source domain has {source.dim}"
-        )
-    if f.out_dim != target.dim:
-        raise StructuralError(
-            f"map produces dimension {f.out_dim}, target domain has {target.dim}"
-        )
+    source, target = _READERS["Domain"](source, "source"), _READERS["Domain"](target, "target")
+    f = _map_between(f, source.dim, target.dim, "f")
     sup = -math.inf
     for chunk in _chunks(stream, source.dim):
         images = f.evaluate_many(source.sample(chunk))
@@ -419,6 +421,7 @@ def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMa
     guaranteed structurally, not just sampled.  Identical seeds, integers in
     [0, 2**64) as for :class:`SampleStream`, produce structurally identical maps.
     """
+    domain = _READERS["Domain"](domain, "domain")
     bias = _real(contraction_bias, "contraction bias", DomainError)
     if not 0.0 < bias < 1.0:
         raise DomainError(f"contraction bias must lie in (0, 1): {contraction_bias!r}")

@@ -207,6 +207,7 @@ def test_sampled_reductions_read_their_stream(stream):
         lambda: verify_nesting(ambient, inner, None, stream),
         lambda: step_contraction_check(mapping, ambient, image, None, stream),
         lambda: image_bound(mapping, ambient, image, stream),
+        lambda: ambient.sample(stream),
     ]
     if stream is not None:  # no stream is the closed-form diameter
         calls.append(lambda: diameter(ambient, inner, stream))

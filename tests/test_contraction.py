@@ -67,6 +67,9 @@ def test_certificate_enforces_consistency():
         ContractionCertificate(
             M=float("inf"), k=1.0, method="closed_form", sample_count=0, seed=0
         )
+    for M, k in ((-1.0, math.tanh(-1.0)), (40.0, 1.0)):  # a negative M; k = tanh(M) rounds to 1
+        with pytest.raises(StructuralError):
+            ContractionCertificate(M=M, k=k, method="closed_form", sample_count=0, seed=0)
 
 
 def test_certificate_json_round_trip_is_bit_exact():

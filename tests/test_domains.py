@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,9 +30,14 @@ from cmetric import (
     UnitDisk,
     as_point,
     diameter,
+    image_bound,
     random_selfmap,
+    schwarz_pick_gap,
     solve,
+    step_contraction_check,
+    uniqueness_probe,
     verify_nesting,
+    witness_lower_bound,
 )
 from cmetric.domains import _row_max
 
@@ -182,6 +188,8 @@ def test_membership_dimension_mismatch():
         UnitDisk().contains((0.1, 0.2))
     with pytest.raises(StructuralError):
         Polydisk((1.0, 1.0)).contains(0.1)
+    with pytest.raises(StructuralError):
+        Polydisk((1.0, 1.0)).contains_many([[0.1, 0.2, 0.3]])
 
 
 def test_malformed_points_are_structural_errors():
@@ -200,6 +208,8 @@ def test_malformed_points_are_structural_errors():
         disk.contains_many(np.array([0.1, "0.2"], dtype=object))
     with pytest.raises(StructuralError):
         Polydisk((1.0, 1.0)).contains_many([[0.1, 0.2], [0.3]])
+    with pytest.raises(StructuralError):
+        disk.caratheodory_many([0.1, 0.2], [0.1])
 
 
 def test_membership_negative_margin_rejected():
@@ -336,6 +346,58 @@ def test_fields_annotated_with_a_class_hold_instances():
         with pytest.raises(StructuralError):
             make()
     assert DiagonalProduct([Identity()]).factors == (Identity(),)
+
+
+_STREAM = SampleStream(seed=1, count=10)
+_PROBLEM = FixedPointProblem(UnitDisk(), ScaledDisk(0.6), ScalarScale(0.5), 0.1, 1e-9)
+_DISKS = (UnitDisk(), ScaledDisk(0.6))
+
+# public call -> (the argument it names, the call with a wrong value in that argument's place)
+ARGUMENT_PROBES = {
+    "witness_lower_bound": ("f", lambda: witness_lower_bound("f", 0, 0.1, 0.5)),
+    "schwarz_pick_gap": ("f", lambda: schwarz_pick_gap("f", 0, 0.1)),
+    "image_bound-f": ("f", lambda: image_bound("f", UnitDisk(), UnitDisk(), _STREAM)),
+    "image_bound-source": ("source", lambda: image_bound(Identity(), "s", UnitDisk(), _STREAM)),
+    "image_bound-target": ("target", lambda: image_bound(Identity(), UnitDisk(), "t", _STREAM)),
+    "diameter-ambient": ("ambient", lambda: diameter("a", UnitDisk())),
+    "diameter-inner": ("inner", lambda: diameter(UnitDisk(), "i")),
+    "verify_nesting-ambient": ("ambient", lambda: verify_nesting("a", _DISKS[1], None, _STREAM)),
+    "verify_nesting-inner": ("inner", lambda: verify_nesting(UnitDisk(), "i", None, _STREAM)),
+    "verify_nesting-cert": ("cert", lambda: verify_nesting(*_DISKS, "x", _STREAM)),
+    "step_check-mapping": ("mapping", lambda: step_contraction_check("f", *_DISKS, None, _STREAM)),
+    "step_check-ambient": (
+        "ambient", lambda: step_contraction_check(Identity(), "a", _DISKS[1], None, _STREAM)
+    ),
+    "step_check-inner": (
+        "inner", lambda: step_contraction_check(Identity(), UnitDisk(), "i", None, _STREAM)
+    ),
+    "step_check-cert": ("cert", lambda: step_contraction_check(Identity(), *_DISKS, "x", _STREAM)),
+    "solve-cert": ("cert", lambda: solve(_PROBLEM, "x")),
+    "solve-problem": ("problem", lambda: solve("p")),
+    "uniqueness_probe-cert": ("cert", lambda: uniqueness_probe(_PROBLEM, "x", [0.1])),
+    "uniqueness_probe-problem": ("problem", lambda: uniqueness_probe("p", None, [0.1])),
+    "random_selfmap": ("domain", lambda: random_selfmap("d", 1, 0.5)),
+    # a map of the wrong dimensions: one reader states the fit of every map argument
+    "witness_lower_bound-dim": (
+        "f", lambda: witness_lower_bound(Identity(2), (0, 0), (0.1, 0), 0.5)
+    ),
+    "schwarz_pick_gap-dim": ("f", lambda: schwarz_pick_gap(Identity(2), 0, 0.1)),
+    "image_bound-dim": ("f", lambda: image_bound(Identity(2), UnitDisk(), UnitDisk(), _STREAM)),
+    "step_check-dim": (
+        "mapping", lambda: step_contraction_check(Identity(2), *_DISKS, None, _STREAM)
+    ),
+    "FixedPointProblem-dim": (
+        "FixedPointProblem.mapping",
+        lambda: FixedPointProblem(*_DISKS, Identity(2), 0.1, 1e-9),
+    ),
+    "DiagonalProduct-dim": ("DiagonalProduct.factors", lambda: DiagonalProduct((Identity(2),))),
+}
+
+
+@pytest.mark.parametrize("argument, call", ARGUMENT_PROBES.values(), ids=list(ARGUMENT_PROBES))
+def test_public_functions_read_their_arguments(argument, call):
+    with pytest.raises(StructuralError, match=rf"^{re.escape(argument)} must "):
+        call()
 
 
 def test_row_maxima_match_numpy_row_by_row():
@@ -529,6 +591,11 @@ def test_distance_requires_membership():
         ScaledDisk(0.5).caratheodory(0.6, 0)
     with pytest.raises(DomainError):
         Polydisk((1.0, 0.5)).caratheodory((0.2, 0.6), (0, 0))
+    with pytest.raises(DomainError):
+        Polydisk((1.0, 1.0)).contains_many([[0.1, complex("nan")]])
+    r = math.nextafter(1.0, 0.0)
+    with pytest.raises(DomainError):  # both inside, but too near the rim for a finite distance
+        UnitDisk().caratheodory_many([r], [-r])
 
 
 # -- pullback isometry --------------------------------------------------------------

@@ -23,6 +23,7 @@ from cmetric import (
     poincare_distance,
     poincare_distance_many,
 )
+from cmetric.metric_core import ATANH_GUARD
 
 mp.mp.dps = 40
 
@@ -141,6 +142,15 @@ def test_distance_rejects_points_outside_open_disk(bad):
         poincare_distance(bad, 0.1)
     with pytest.raises(DomainError):
         poincare_distance(0.1, bad)
+
+
+def test_the_kernel_ceiling_keeps_every_distance_below_tanh_one():
+    # the largest quotient the ceiling admits: its distance still has tanh < 1, so a
+    # diameter from either path has k < 1 and needs no cap of its own
+    assert math.tanh(atanh_stable(math.nextafter(1.0 - ATANH_GUARD, 0.0))) < 1.0
+    r = math.nextafter(1.0, 0.0)
+    with pytest.raises(DomainError):
+        poincare_distance_many([r], [-r])
 
 
 def test_many_matches_scalar_to_rounding():
