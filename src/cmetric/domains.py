@@ -28,6 +28,8 @@ import cmath
 import dataclasses
 import functools
 import numbers
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -315,6 +317,66 @@ class _Chart(NamedTuple):
     point: tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]
 
 
+# -- generated functions ------------------------------------------------------------
+#
+# A formula is stated once, as source: each map node's ``_emit``, a chart's pull
+# (``_emit_pull``) and ``solve``'s iteration step.  A function compiled from it takes
+# its constants as parameter defaults or arguments, not as text, so values of equal
+# shape share code.
+
+_CODE = weakref.WeakValueDictionary()  # source -> code of the functions that use it
+
+
+def _const(consts: list, value) -> str:
+    consts.append(value)
+    return f"c{len(consts) - 1}"
+
+
+def _bind(body: list[str], expr: str) -> str:
+    """A local holding ``expr``, so that it is evaluated here and once."""
+    if expr.isidentifier():
+        return expr
+    body.append(f" v{len(body)} = {expr}\n")
+    return f"v{len(body) - 1}"
+
+
+def _function(params: list[str], consts: list, body: list[str], result: str):
+    """``def f(params, c0, c1, ...): body; return result`` with ``consts`` as the defaults."""
+    params = ", ".join(params + [f"c{i}" for i in range(len(consts))])
+    source = f"def f({params}):\n{''.join(body)} return {result}\n"
+    if (code := _CODE.get(source)) is None:
+        code = _CODE[source] = compile(source, "<cmetric>", "exec").co_consts[0]
+    return types.FunctionType(code, globals(), "f", tuple(consts))
+
+
+def _emit_pull(
+    ins: list[str], offset: list[str], rows: list[list[str]], body: list[str]
+) -> list[str]:
+    """Source of each model coordinate A^-1 (z - b) of the point named by ``ins``, given
+    the names of b and of the rows of A^-1 (a diagonal chart's one row is its diagonal).
+
+    A diagonal chart scales each shifted coordinate; a full one sums each row of A^-1
+    times the shifted coordinates, bound once, in coordinate order.
+    """
+    shifted = [f"({z} - {b})" for z, b in zip(ins, offset)]
+    if len(rows) == 1:
+        return [f"{s} * {a}" for s, a in zip(shifted, rows[0])]
+    shifted = [_bind(body, s) for s in shifted]
+    return [f"sum([{', '.join(f'{a} * {s}' for a, s in zip(row, shifted))}])" for row in rows]
+
+
+@functools.lru_cache(maxsize=None)
+def _pull_function(dim: int, rows: int):
+    """``f(z, b, inverse)``, A^-1 (z - b) for the charts of one shape: ``_Chart.point``
+    gives b and the rows of A^-1 in Python complex."""
+    ins, offset = [f"z{i}" for i in range(dim)], [f"b{i}" for i in range(dim)]
+    names = [[f"a{r}_{i}" for i in range(dim)] for r in range(rows)]
+    unpack = ", ".join("(" + ", ".join(row) + ",)" for row in names)
+    body = [f" {', '.join(ins)}, = z\n {', '.join(offset)}, = b\n {unpack}, = inverse\n"]
+    outs = _emit_pull(ins, offset, names, body)
+    return _function(["z", "b", "inverse"], [], body, f"({', '.join(outs)},)")
+
+
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A x for each row x of ``rows``; a diagonal A, given as one row, scales ``rows`` in place."""
     return rows @ matrix.T if len(matrix) > 1 else np.multiply(rows, matrix, out=rows)
@@ -367,13 +429,10 @@ class Domain(abc.ABC):
         """Model coordinates A^-1 (z - b) of an (n, dim) array of points."""
         return _apply(self._affine.inverse, pts - self._affine.offset)
 
-    def _pull_point(self, p: Point) -> list[complex]:
+    def _pull_point(self, p: Point) -> tuple[complex, ...]:
         """Model coordinates A^-1 (z - b) of one point, in Python complex arithmetic."""
         offset, inverse = self._affine.point
-        if len(inverse) == 1:
-            return [(z - b) * a for z, b, a in zip(p, offset, inverse[0])]
-        shifted = [z - b for z, b in zip(p, offset)]
-        return [sum(a * s for a, s in zip(row, shifted)) for row in inverse]
+        return _pull_function(len(offset), len(inverse))(p, offset, inverse)
 
     def _push(self, model: np.ndarray) -> np.ndarray:
         """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""
@@ -442,6 +501,7 @@ class Domain(abc.ABC):
         An error names a point outside by its row, counted from ``first_row``:
         the stream row of the first pair when the arrays are one chunk of a stream.
         """
+        first_row = _integer(first_row, "first_row")
         xa = _points_array(xs, self.dim, "xs")
         ya = _points_array(ys, self.dim, "ys")
         if xa.shape[0] != ya.shape[0]:
@@ -464,7 +524,7 @@ class Domain(abc.ABC):
             if not inside.all():
                 i = int(np.argmin(inside.all(axis=1)))
                 raise DomainError(
-                    f"{what}[{first_row + i}] = {tuple(arr[i])!r} is not inside {self!r}"
+                    f"{what}[{first_row + i}] = {tuple(arr[i].tolist())!r} is not inside {self!r}"
                 )
             models.append(model)
         return poincare_distance_many(*models)
@@ -473,7 +533,7 @@ class Domain(abc.ABC):
 _READERS["Domain"] = _instance(Domain, "a domain")
 
 
-def _model_distance(mx: list[complex], my: list[complex]) -> float:
+def _model_distance(mx: Sequence[complex], my: Sequence[complex]) -> float:
     """:meth:`Domain.caratheodory` of two points inside, from their model coordinates."""
     return atanh_stable(max(map(pseudo_hyperbolic, mx, my)))
 
@@ -495,7 +555,7 @@ def _margin(margin: float, what: str = "membership margin") -> float:
     return margin
 
 
-def _inside(model: list[complex], limit: float) -> bool:
+def _inside(model: Sequence[complex], limit: float) -> bool:
     """True iff every model modulus is below ``limit``; a NaN coordinate is outside."""
     for m in model:
         if not abs(m) < limit:

@@ -11,16 +11,23 @@ within ``k^n * d0 / (1 - k)`` after n steps from the start (a priori).
 A certificate is derived from the problem's own nesting, or checked against
 it: it must not undercut that nesting's closed-form k.  Distances are measured
 in the ambient metric, which is the metric the contraction statement lives in.
-The loop carries the ambient model coordinates of its iterate: each new
-iterate is pulled once through the inner chart, for the containment
-hypothesis, and once through the ambient chart, for the step distance.
+The loop carries the ambient model coordinates of its iterate.  Each
+iteration is one call of a function compiled for the problem on its first
+solve: it runs the map's compiled function, pulls the image once through the
+inner chart, for the containment hypothesis, and once through the ambient
+chart, tests both memberships, and returns the largest per-coordinate
+pseudo-hyperbolic quotient of consecutive model coordinates, whose atanh the
+loop records as the step.  Its source depends only on the dimension and on
+which charts are diagonal, so problems of one shape share its code.  An
+iteration of the benchmark's ``solve-stream`` costs about 7 us, each solve's
+start and residual checks included (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +37,14 @@ from .domains import (
     Point,
     PointLike,
     SampleStream,
-    _inside,
+    _bind,
+    _const,
+    _emit_pull,
+    _function,
     _instance,
-    _model_distance,
     _real,
     _sample_pairs,
+    _sequence,
     _typed,
     as_point,
 )
@@ -45,6 +55,7 @@ from .errors import (
     StructuralError,
 )
 from .holomaps import HoloMap, _map_between
+from .metric_core import atanh_stable
 
 __all__ = [
     "FixedPointProblem",
@@ -65,10 +76,13 @@ class FixedPointProblem:
     """A contractive iteration setup.
 
     ``mapping`` must be a self-map of ``ambient`` whose image lies in
-    ``inner`` (guaranteed by construction for generated maps); ``tolerance``
-    is the target bound, in ambient-metric units, on the distance between the
-    returned point and the true fixed point.  ``max_iter=None`` derives the
-    budget from the certificate: the theoretical step count plus a guard.
+    ``inner``.  That holds by construction for ``random_selfmap(ambient, seed,
+    bias)`` when ``inner`` contains ``bias * ambient``; for any other map it is
+    the caller's hypothesis, which :func:`solve` checks only at the iterates it
+    visits.  ``tolerance`` is the target bound, in ambient-metric units, on the
+    distance between the returned point and the true fixed point.
+    ``max_iter=None`` derives the budget from the certificate: the theoretical
+    step count plus a guard.
     """
 
     ambient: Domain
@@ -89,8 +103,47 @@ class FixedPointProblem:
             raise StructuralError(f"max_iter must be >= 1: {self.max_iter!r}")
         object.__setattr__(self, "start", as_point(self.start, self.ambient.dim, what="start"))
 
-    # the k of this nesting's closed-form certificate, derived on the first solve
-    _own_k = functools.cached_property(lambda self: diameter(self.ambient, self.inner).k)
+    __reduce__ = Domain.__reduce__  # ``_solver`` is derived
+
+    @functools.cached_property
+    def _solver(self):
+        """``(k, step)``, derived on the first solve: the k of this nesting's closed-form
+        certificate, and one iteration of :func:`solve`'s loop as one function.
+
+        ``step(x, m)`` takes the iterate and its ambient model coordinates.  It returns
+        ``(y, n, t)``: the image ``y = f(x)``, its ambient model coordinates ``n``, and the
+        largest pseudo-hyperbolic quotient ``t`` of ``m`` and ``n``, whose atanh is the step.
+        A failed test returns the name of its domain instead: ``"inner"`` when the map
+        fails at ``x`` or ``y`` is not inside ``inner`` (a non-finite ``y`` never is, since
+        its pull is non-finite too), ``"ambient"`` when ``y`` is not inside ``ambient``.
+        The map's compiled function and both charts' constants are parameter defaults, so
+        the source depends only on the dimension and on which charts are diagonal.  (One
+        cached value, not two: a second one would grow each problem's ``__dict__`` by
+        about 400 bytes.)
+        """
+        k = diameter(self.ambient, self.inner).k
+        ys, ms = ([f"{v}{i}" for i in range(self.ambient.dim)] for v in "ym")
+        consts = []
+        body = [
+            f" try:\n  y = {_const(consts, self.mapping._fn)}(*x)\n"
+            " except (ZeroDivisionError, OverflowError):\n  return 'inner'\n"
+            f" {', '.join(ys)}, = y\n"
+        ]
+        for name, domain in (("inner", self.inner), ("ambient", self.ambient)):
+            offset, inverse = domain._affine.point
+            offset = [_const(consts, b) for b in offset]
+            rows = [[_const(consts, a) for a in row] for row in inverse]
+            ns = [_bind(body, c) for c in _emit_pull(ys, offset, rows, body)]
+            inside = " and ".join(f"abs({c}) < 1.0" for c in ns)
+            body.append(f" if not ({inside}):\n  return {name!r}\n")
+        body.append(f" {', '.join(ms)}, = m\n")
+        ts = [  # pseudo_hyperbolic(m_i, n_i), operation for operation
+            _bind(body, f"abs({z} - {w}) / abs(complex(1.0 - ({w}.real * {z}.real + "
+                        f"{w}.imag * {z}.imag), {w}.real * {z}.imag - {w}.imag * {z}.real))")
+            for z, w in zip(ms, ns)
+        ]
+        t = ts[0] if len(ts) == 1 else f"max({', '.join(ts)})"
+        return k, _function(["x", "m"], consts, body, f"y, ({', '.join(ns)},), {t}")
 
 
 _problem = _instance(FixedPointProblem, "a FixedPointProblem")
@@ -163,7 +216,7 @@ def step_contraction_check(
             if not ok.all():
                 i = int(np.argmin(ok))
                 raise HypothesisError(
-                    f"image point {tuple(arr[i])!r} escapes the inner domain; "
+                    f"image point {tuple(arr[i].tolist())!r} escapes the inner domain; "
                     "the containment hypothesis fails"
                 )
         images = ambient.caratheodory_many(fxs, fys, first_row=first)
@@ -186,32 +239,34 @@ def solve(
     :class:`HypothesisError` when a hypothesis fails, each with the trace so far.
     """
     problem = _problem(problem, "problem")
-    return _iterate(problem, _require_certificate(problem._own_k, cert))
+    return _iterate(problem, _require_certificate(problem._solver[0], cert), problem.start)
 
 
-def _iterate(problem: FixedPointProblem, k: float) -> FixedPointResult:
-    """:func:`solve` with the contraction constant ``k`` of a certificate already checked."""
-    ambient, inner, f = problem.ambient, problem.inner, problem.mapping
-    x = problem.start
+def _iterate(problem: FixedPointProblem, k: float, x: Point) -> FixedPointResult:
+    """:func:`solve` from the start ``x``, with the ``k`` of a certificate already checked."""
+    ambient, f = problem.ambient, problem.mapping
     if not ambient.contains(x, 0.0):
         raise DomainError(f"start {x!r} is not inside the ambient domain")
+    advance = problem._solver[1]
     factor = k / (1.0 - k)
     tol = problem.tolerance
     trace: list[float] = []
     max_iter = problem.max_iter
     mx = ambient._pull_point(x)  # the ambient model coordinates of the iterate
     while True:
-        x_next = f._evaluate_point(x)
-        if not _inside(inner._pull_point(x_next), 1.0):
-            raise HypothesisError(
-                f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
-                "the image containment hypothesis fails",
-                trace,
-            )
-        my = ambient._pull_point(x_next)
-        if not _inside(my, 1.0):  # inner lies inside ambient, up to rounding
+        out = advance(x, mx)
+        if type(out) is str:  # a failed test, named by its domain
+            x_next = f._evaluate_point(x)  # raises the map's own NumericError where it failed
+            if out == "inner":
+                raise HypothesisError(
+                    f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
+                    "the image containment hypothesis fails",
+                    trace,
+                )
+            # inner lies inside ambient, so only rounding can bring an iterate here
             raise DomainError(f"iterate {x_next!r} is not inside {ambient!r}")
-        step = _model_distance(mx, my)
+        x_next, mx, t = out
+        step = atanh_stable(t)
         trace.append(step)
         if max_iter is None:
             # theory fixes the count from the first step; the guard absorbs rounding
@@ -224,7 +279,7 @@ def _iterate(problem: FixedPointProblem, k: float) -> FixedPointResult:
                 f"(last step {step!r}, required bound {tol * (1.0 - k) / k if k else tol!r})",
                 trace,
             )
-        x, mx = x_next, my
+        x = x_next
     residual = ambient.caratheodory(x_next, f.evaluate(x_next))
     if residual > tol:
         raise HypothesisError(
@@ -257,8 +312,12 @@ def uniqueness_probe(
     once for all starts.
     """
     problem = _problem(problem, "problem")
-    k = _require_certificate(problem._own_k, cert)
-    points = [_iterate(replace(problem, start=s), k).point for s in starts]
+    k = _require_certificate(problem._solver[0], cert)
+    starts = [
+        as_point(s, problem.ambient.dim, what=f"starts[{i}]")
+        for i, s in enumerate(_sequence(starts, "starts"))
+    ]
+    points = [_iterate(problem, k, s).point for s in starts]
     spread = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):

@@ -19,8 +19,6 @@ import abc
 import cmath
 import functools
 import math
-import types
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,10 @@ from .domains import (
     SampleStream,
     UnitDisk,
     as_point,
+    _bind,
     _chunks,
+    _const,
+    _function,
     _instance,
     _many,
     _points_array,
@@ -131,11 +132,7 @@ class HoloMap(abc.ABC):
             outs = self._emit(ins, consts, body)
         except RecursionError:  # the one walk of the tree, besides repr, ==, hash and pickle
             raise StructuralError(f"{type(self).__name__} map is nested too deeply") from None
-        params = ", ".join(ins + [f"c{i}" for i in range(len(consts))])
-        source = f"def f({params}):\n{''.join(body)} return ({', '.join(outs)},)\n"
-        if (code := _CODE.get(source)) is None:
-            code = _CODE[source] = compile(source, "<holomap>", "exec").co_consts[0]
-        return types.FunctionType(code, globals(), "f", tuple(consts))
+        return _function(ins, consts, body, f"({', '.join(outs)},)")
 
     __reduce__ = Domain.__reduce__  # ``_fn`` and the dimensions are derived
 
@@ -143,22 +140,6 @@ class HoloMap(abc.ABC):
     def _emit(self, ins: list[str], consts: list, body: list[str]) -> list[str]:
         """Source of each output from the input names, naming constants by ``_const``
         and binding locals (statements in ``body``) by ``_bind``."""
-
-
-_CODE = weakref.WeakValueDictionary()  # source -> code of the maps that use it
-
-
-def _const(consts: list, value) -> str:
-    consts.append(value)
-    return f"c{len(consts) - 1}"
-
-
-def _bind(body: list[str], expr: str) -> str:
-    """A local holding ``expr``, so that it is evaluated here and once."""
-    if expr.isidentifier():
-        return expr
-    body.append(f" v{len(body)} = {expr}\n")
-    return f"v{len(body) - 1}"
 
 
 _READERS["HoloMap"] = _instance(HoloMap, "a map")

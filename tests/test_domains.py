@@ -376,6 +376,15 @@ ARGUMENT_PROBES = {
     "solve-problem": ("problem", lambda: solve("p")),
     "uniqueness_probe-cert": ("cert", lambda: uniqueness_probe(_PROBLEM, "x", [0.1])),
     "uniqueness_probe-problem": ("problem", lambda: uniqueness_probe("p", None, [0.1])),
+    "uniqueness_probe-starts": ("starts", lambda: uniqueness_probe(_PROBLEM, None, 5)),
+    "uniqueness_probe-no-starts": ("starts", lambda: uniqueness_probe(_PROBLEM, None, None)),
+    "uniqueness_probe-text-starts": ("starts", lambda: uniqueness_probe(_PROBLEM, None, "0.1")),
+    "caratheodory_many-first_row": (
+        "first_row", lambda: UnitDisk().caratheodory_many([0.1, 2.0], [0, 0], first_row="x")
+    ),
+    "caratheodory_many-fractional-first_row": (
+        "first_row", lambda: UnitDisk().caratheodory_many([0.1], [0], first_row=1.5)
+    ),
     "random_selfmap": ("domain", lambda: random_selfmap("d", 1, 0.5)),
     # a map of the wrong dimensions: one reader states the fit of every map argument
     "witness_lower_bound-dim": (
@@ -596,6 +605,13 @@ def test_distance_requires_membership():
     r = math.nextafter(1.0, 0.0)
     with pytest.raises(DomainError):  # both inside, but too near the rim for a finite distance
         UnitDisk().caratheodory_many([r], [-r])
+    # a point outside is named by its row, counted from first_row, and its coordinates
+    for first_row, row in ((0, 1), (np.int64(7), 8), (3.0, 4)):
+        with pytest.raises(DomainError, match=rf"^xs\[{row}\] = \(\(2\+0j\),\) is not inside"):
+            UnitDisk().caratheodory_many([0.1, 2.0], [0, 0], first_row=first_row)
+    for first_row in ("x", 1.5, None, True):
+        with pytest.raises(StructuralError, match="^first_row must be an integer"):
+            UnitDisk().caratheodory_many([0.1, 2.0], [0, 0], first_row=first_row)
 
 
 # -- pullback isometry --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import mpmath as mp
@@ -305,15 +306,24 @@ def test_solve_pulls_each_iterate_once_per_chart(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    for problem in (_problem(), _problem(tolerance=1e-4), _polydisk_problem(3, seed=5)):
+    for problem in (_problem(), _problem(tolerance=1e-4), _polydisk_problem(3, seed=5),
+                    _affine_problem(2, seed=41)):
+        k, step = problem._solver
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        vars(problem)["_solver"] = (k, counted_step)  # where the cached property keeps it
         calls.clear()
         n = solve(problem).iterations
         assert n > 1
         # the public calls check the start and the residual of the returned point
         assert calls.pop("contains") == calls.pop("caratheodory") == calls.pop("evaluate") == 1
-        # per iteration one pull through each chart; the start's public check and
-        # its ambient model coordinates, and the residual's two points
-        assert calls == {"_pull_point": 2 * n + 4}
+        # one compiled step per iteration pulls its image through both charts; the
+        # start's public check and its ambient model coordinates, and the residual's
+        # two points, are the only other pulls
+        assert calls == {"_pull_point": 4, "step": n}
 
 
 def _polydisk_problem(n, seed, radii=None):
@@ -400,11 +410,22 @@ def test_solve_is_byte_identical_to_the_public_call_loop(problem):
 
 def test_map_blowing_up_inside_the_loop_is_a_numeric_error():
     overflow = Polynomial(((1e308, 1e308),))  # inf at 0.9
+    not_a_number = Polynomial(((-1e308, 1e308, 1e308),))  # inf times 0.9 has a NaN part
     pole = Compose(Mobius(0.5), Polynomial(((2.0,),)))  # 2 is the Mobius pole
-    for mapping in (overflow, pole):
-        problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), mapping, (0.9,), 1e-9)
-        with pytest.raises(NumericError):
+    # 0.375 -> 0.5 -> Mobius(0.5)(0.5) = 0, inside D(0, 1/2), and 0 -> 2: the second iterate fails
+    later_pole = Compose(Mobius(0.5), Polynomial(((2.0, -4.0),)))
+    for mapping, start, steps in (
+        (overflow, 0.9, 0), (not_a_number, 0.9, 0), (pole, 0.9, 0), (later_pole, 0.375, 1),
+    ):
+        problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), mapping, start, 1e-9)
+        with pytest.raises(NumericError) as info:
             solve(problem)
+        x = problem.start
+        for _ in range(steps):
+            x = mapping.evaluate(x)
+        with pytest.raises(NumericError) as direct:
+            mapping.evaluate(x)
+        assert str(info.value) == str(direct.value)
 
 
 # -- step contraction check -----------------------------------------------------------
@@ -441,7 +462,8 @@ def test_step_contraction_random_selfmaps():
 def test_step_contraction_detects_escape():
     inner = ScaledDisk(0.1)
     cert = diameter(UnitDisk(), inner)
-    with pytest.raises(HypothesisError):
+    # the escaping point is named by its Python coordinates
+    with pytest.raises(HypothesisError, match=r"^image point \(\([^()]+j\),\) escapes"):
         step_contraction_check(
             HALF_PLUS_QUARTER, UnitDisk(), inner, cert, SampleStream(seed=4, count=200)
         )
@@ -462,6 +484,23 @@ def test_uniqueness_two_starts_agree():
     spread = uniqueness_probe(problem, cert, [(0.0,), (-0.5 + 0.3j,)])
     k = cert.k
     assert spread <= 2 * problem.tolerance * k / (1 - k) + 1e-10
+
+
+def test_uniqueness_probe_reads_each_start():
+    problem = _problem(tolerance=1e-9)
+    for starts, message in (([(0.0,), (0.1, 0.2)], "starts[1] has dimension 2"),
+                            ([0.0, "x"], "starts[1] is not a scalar"),
+                            ([None], "starts[0] is not a scalar")):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            uniqueness_probe(problem, None, starts)
+    with pytest.raises(DomainError, match="^starts\\[0\\] must be finite"):
+        uniqueness_probe(problem, None, [math.nan])
+    with pytest.raises(DomainError, match="^start \\(\\(1.5\\+0j\\),\\) is not inside"):
+        uniqueness_probe(problem, None, [0.0, 1.5])
+    assert uniqueness_probe(problem, None, ()) == 0.0
+    assert uniqueness_probe(problem, None, (z for z in (0.0, -0.5 + 0.3j))) == uniqueness_probe(
+        problem, None, [(0.0,), (-0.5 + 0.3j,)]
+    )
 
 
 def test_uniqueness_random_maps_many_starts():

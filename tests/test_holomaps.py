@@ -11,6 +11,7 @@ import pytest
 
 from cmetric import (
     Affine,
+    AffineImage,
     CapabilityError,
     Compose,
     DiagonalProduct,
@@ -293,9 +294,26 @@ def test_maps_stay_plain_values_after_evaluation():
         back = pickle.loads(pickle.dumps(f))
         assert back == f and repr(back.evaluate(p)) == repr(value)
     problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.8), maps[0], 0.1, 1e-9)
+    before = (repr(problem), hash(problem), pickle.dumps(problem))
     result = solve(problem)
+    assert "_solver" in vars(problem)  # derived on the first solve, ignored by the value
+    assert (repr(problem), hash(problem), pickle.dumps(problem)) == before
+    assert problem == FixedPointProblem(UnitDisk(), ScaledDisk(0.8), maps[0], 0.1, 1e-9)
     back = pickle.loads(pickle.dumps(problem))
     assert back == problem and repr(solve(back)) == repr(result)
+    # the step's source depends only on the dimension and on which charts are diagonal
+    bidisk, shear = Polydisk((1.0, 1.0)), ((1.0, 0.2), (0.0, 1.0))
+    diagonal = [
+        FixedPointProblem(bidisk, Polydisk((r, r)), random_selfmap(bidisk, seed, r), (0, 0), 1e-9)
+        for seed, r in ((1, 0.6), (2, 0.8))
+    ]
+    full = FixedPointProblem(AffineImage(bidisk, shear, (0.0, 0.1)),
+                             AffineImage(Polydisk((0.5, 0.5)), shear, (0.0, 0.1)),
+                             Identity(2), (0, 0), 1e-9)
+    steps = [p._solver[1] for p in diagonal + [full]]
+    assert steps[0].__code__ is steps[1].__code__
+    assert steps[0].__defaults__ != steps[1].__defaults__
+    assert steps[2].__code__ is not steps[0].__code__
     gc.disable()  # no reference cycle: an evaluated map dies on ``del`` alone
     try:
         f = random_selfmap(Polydisk((1.0, 0.5)), 3, 0.6)

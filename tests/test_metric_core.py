@@ -9,7 +9,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmetric import (
@@ -76,9 +76,14 @@ def test_atanh_rejects_out_of_domain(bad):
 
 
 @given(st.floats(min_value=0.0, max_value=0.99))
+@example(0.9896985562483642)
 def test_double_angle_identity(r):
-    lhs = atanh_stable(2 * r / (1 + r * r))
-    assert lhs == pytest.approx(2 * atanh_stable(r), abs=1e-12)
+    # atanh(x) = 2 atanh(x / (1 + sqrt(1 - x^2))), checked on the float x that is
+    # passed: rounding 2r / (1 + r^2) moves it by an ulp, which atanh's slope near
+    # 1 magnifies to ~1e-12, whereas halving the angle of x is well conditioned
+    x = 2 * r / (1 + r * r)
+    half = x / (1 + math.sqrt((1 - x) * (1 + x)))
+    assert atanh_stable(x) == pytest.approx(2 * atanh_stable(half), abs=1e-12)
 
 
 # -- poincare_distance ---------------------------------------------------------
