@@ -320,7 +320,7 @@ class _Chart(NamedTuple):
 # -- generated functions ------------------------------------------------------------
 #
 # A formula is stated once, as source: each map node's ``_emit``, a chart's pull
-# (``_emit_pull``) and ``solve``'s iteration step.  A function compiled from it takes
+# (``_emit_pull``) and ``solve``'s iteration loop.  A function compiled from it takes
 # its constants as parameter defaults or arguments, not as text, so values of equal
 # shape share code.
 
@@ -356,11 +356,13 @@ def _emit_pull(
     the names of b and of the rows of A^-1 (a diagonal chart's one row is its diagonal).
 
     A diagonal chart scales each shifted coordinate; a full one sums each row of A^-1
-    times the shifted coordinates, bound once, in coordinate order.
+    times the shifted coordinates, bound once, in coordinate order.  ``None`` in place
+    of a name leaves its term out: an entry of b that is 0, or a diagonal entry of A^-1
+    that is 1.  That changes no bit of a finite result but the sign of a zero part.
     """
-    shifted = [f"({z} - {b})" for z, b in zip(ins, offset)]
+    shifted = [z if b is None else f"({z} - {b})" for z, b in zip(ins, offset)]
     if len(rows) == 1:
-        return [f"{s} * {a}" for s, a in zip(shifted, rows[0])]
+        return [s if a is None else f"{s} * {a}" for s, a in zip(shifted, rows[0])]
     shifted = [_bind(body, s) for s in shifted]
     return [f"sum([{', '.join(f'{a} * {s}' for a, s in zip(row, shifted))}])" for row in rows]
 
@@ -457,7 +459,9 @@ class Domain(abc.ABC):
         return _inside(model, limit)
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
-        return self.boundary_proximity_many(pts) < 1.0 - _margin(margin)
+        """Vectorized :meth:`contains`, with the same answer for each point."""
+        model = self._pull(_points_array(pts, self.dim, "points"))
+        return _below(_row_max(np.abs(model)), model, 1.0 - _margin(margin))[0]
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
         """0 at the center, approaching 1 at the boundary, >= 1 outside."""
@@ -520,8 +524,8 @@ class Domain(abc.ABC):
         models = []
         for arr, what in zip((xa, ya), names):
             model = self._pull(arr)
-            inside = np.abs(model) < 1.0 - margin
-            if not inside.all():
+            inside, every = _below(np.abs(model), model, 1.0 - margin)
+            if not every:
                 i = int(np.argmin(inside.all(axis=1)))
                 raise DomainError(
                     f"{what}[{first_row + i}] = {tuple(arr[i].tolist())!r} is not inside {self!r}"
@@ -556,11 +560,36 @@ def _margin(margin: float, what: str = "membership margin") -> float:
 
 
 def _inside(model: Sequence[complex], limit: float) -> bool:
-    """True iff every model modulus is below ``limit``; a NaN coordinate is outside."""
-    for m in model:
-        if not abs(m) < limit:
-            return False
+    """True iff every model modulus is below ``limit``; a NaN coordinate is outside, and
+    so is one whose modulus overflows."""
+    try:
+        for m in model:
+            if not abs(m) < limit:
+                return False
+    except OverflowError:  # abs of a finite complex beyond the float range
+        return False
     return True
+
+
+# np.abs of a complex array can be 2 ulp from the libm hypot that ``abs`` and np.hypot
+# use; a modulus within this relative band of a limit is decided again with np.hypot.
+_HYPOT_BAND = 1e-12
+
+
+def _below(moduli: np.ndarray, model: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:
+    """``moduli < limit`` as :func:`_inside` decides it, and whether it holds throughout.
+
+    ``moduli`` is np.abs of the model coordinates ``model``, elementwise or as row maxima.
+    A modulus well below the limit decides at once; only those within ``_HYPOT_BAND`` of
+    it are computed again, and only when some modulus is not well below.
+    """
+    inside = moduli < limit * (1.0 - _HYPOT_BAND)
+    if inside.all():
+        return inside, True
+    near = np.nonzero(~inside & (moduli < limit * (1.0 + _HYPOT_BAND)))
+    exact = np.hypot(model[near].real, model[near].imag)
+    inside[near] = (_row_max(exact) if exact.ndim == 2 else exact) < limit
+    return inside, bool(inside.all())
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,25 @@ within ``k^n * d0 / (1 - k)`` after n steps from the start (a priori).
 A certificate is derived from the problem's own nesting, or checked against
 it: it must not undercut that nesting's closed-form k.  Distances are measured
 in the ambient metric, which is the metric the contraction statement lives in.
-The loop carries the ambient model coordinates of its iterate.  Each
-iteration is one call of a function compiled for the problem on its first
-solve: it runs the map's compiled function, pulls the image once through the
-inner chart, for the containment hypothesis, and once through the ambient
-chart, tests both memberships, and returns the largest per-coordinate
-pseudo-hyperbolic quotient of consecutive model coordinates, whose atanh the
-loop records as the step.  Its source depends only on the dimension and on
-which charts are diagonal, so problems of one shape share its code.  An
-iteration of the benchmark's ``solve-stream`` costs about 7 us, each solve's
-start and residual checks included (2-vCPU Xeon, Python 3.11).
+The whole loop is one function, compiled for the problem on its first solve.
+Each iteration runs the map's compiled function, pulls the image once through
+the inner chart, for the containment hypothesis, and once through the ambient
+chart, and tests both memberships.  It records the atanh of the largest
+per-coordinate pseudo-hyperbolic quotient of consecutive ambient model
+coordinates as the step, and applies the stop and budget tests.  The function
+returns at the stopping iterate or at a failed test, which :func:`solve` turns
+into its error.  Its source depends only on the dimension and on the charts'
+shapes, so problems of one shape share its code; a pull leaves out an offset
+of 0 and a diagonal entry 1 of A^-1, so an identity chart costs no pull.  An
+iteration of the benchmark's ``solve-stream`` costs about 3.2 us in a traced
+run, each solve's start and residual checks included (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +55,11 @@ from .errors import (
     DomainError,
     HypothesisError,
     NonConvergenceError,
+    NumericError,
     StructuralError,
 )
 from .holomaps import HoloMap, _map_between
-from .metric_core import atanh_stable
+from .metric_core import _ATANH_CEILING, atanh_stable
 
 __all__ = [
     "FixedPointProblem",
@@ -107,43 +111,77 @@ class FixedPointProblem:
 
     @functools.cached_property
     def _solver(self):
-        """``(k, step)``, derived on the first solve: the k of this nesting's closed-form
-        certificate, and one iteration of :func:`solve`'s loop as one function.
+        """``(k, loop)``, derived on the first solve: the k of this nesting's closed-form
+        certificate, and :func:`solve`'s whole iteration loop as one function.
 
-        ``step(x, m)`` takes the iterate and its ambient model coordinates.  It returns
-        ``(y, n, t)``: the image ``y = f(x)``, its ambient model coordinates ``n``, and the
-        largest pseudo-hyperbolic quotient ``t`` of ``m`` and ``n``, whose atanh is the step.
-        A failed test returns the name of its domain instead: ``"inner"`` when the map
-        fails at ``x`` or ``y`` is not inside ``inner`` (a non-finite ``y`` never is, since
-        its pull is non-finite too), ``"ambient"`` when ``y`` is not inside ``ambient``.
-        The map's compiled function and both charts' constants are parameter defaults, so
-        the source depends only on the dimension and on which charts are diagonal.  (One
-        cached value, not two: a second one would grow each problem's ``__dict__`` by
-        about 400 bytes.)
+        ``loop(x, m, k, factor, tol, max_iter, trace)`` iterates from ``x``, whose ambient
+        model coordinates are ``m``, appends each step to ``trace`` and stops once
+        ``step * factor <= tol``; ``max_iter=None`` derives the budget from the first step.
+        It returns ``(None, y)`` at the stopping iterate ``y``, or the name of a failed
+        test and the iterate ``x`` whose image failed it: ``"inner"`` when the map fails at
+        ``x``, a test overflows, or ``f(x)`` is not inside ``inner`` (a non-finite image
+        never is, since its pull is non-finite too), ``"ambient"`` when ``f(x)`` is not
+        inside ``ambient``, and ``"budget"`` when ``len(trace)`` reaches the budget.  An
+        atanh argument at the guard raises :func:`atanh_stable`'s error.
+
+        Each ambient model coordinate is carried as a complex number, for the quotient's
+        numerator, and as two floats, from which its denominator is formed as
+        ``metric_core.pseudo_hyperbolic`` forms it.  The map's compiled
+        function and both charts' constants are parameter defaults, so the source depends
+        only on the dimension and on the charts' shapes: which are diagonal, which offsets
+        are 0 and which diagonal entries of A^-1 are 1, whose terms the pulls leave out,
+        so an identity chart costs no pull.  (One cached value, not two: a second one
+        would grow each problem's ``__dict__`` by about 400 bytes.)
         """
         k = diameter(self.ambient, self.inner).k
-        ys, ms = ([f"{v}{i}" for i in range(self.ambient.dim)] for v in "ym")
+        ys, ms, ns = ([f"{v}{i}" for i in range(self.ambient.dim)] for v in "ymn")
+        olds, news = (", ".join(f"{z}r, {z}i" for z in names) for names in (ms, ns))
         consts = []
         body = [
-            f" try:\n  y = {_const(consts, self.mapping._fn)}(*x)\n"
-            " except (ZeroDivisionError, OverflowError):\n  return 'inner'\n"
-            f" {', '.join(ys)}, = y\n"
+            f" {', '.join(ms)}, = m\n {olds} = {', '.join(f'{z}.real, {z}.imag' for z in ms)}\n"
+            " append = trace.append\n while True:\n"
         ]
+        loop = len(body)
+        body.append(" try:\n")
+        tests = len(body)
+        body.append(f" {', '.join(ys)}, = y = {_const(consts, self.mapping._fn)}(*x)\n")
         for name, domain in (("inner", self.inner), ("ambient", self.ambient)):
             offset, inverse = domain._affine.point
-            offset = [_const(consts, b) for b in offset]
-            rows = [[_const(consts, a) for a in row] for row in inverse]
-            ns = [_bind(body, c) for c in _emit_pull(ys, offset, rows, body)]
-            inside = " and ".join(f"abs({c}) < 1.0" for c in ns)
-            body.append(f" if not ({inside}):\n  return {name!r}\n")
-        body.append(f" {', '.join(ms)}, = m\n")
-        ts = [  # pseudo_hyperbolic(m_i, n_i), operation for operation
-            _bind(body, f"abs({z} - {w}) / abs(complex(1.0 - ({w}.real * {z}.real + "
-                        f"{w}.imag * {z}.imag), {w}.real * {z}.imag - {w}.imag * {z}.real))")
-            for z, w in zip(ms, ns)
-        ]
-        t = ts[0] if len(ts) == 1 else f"max({', '.join(ts)})"
-        return k, _function(["x", "m"], consts, body, f"y, ({', '.join(ns)},), {t}")
+            diagonal = len(inverse) == 1
+            offset = [None if b == 0 else _const(consts, b) for b in offset]
+            rows = [[None if diagonal and a == 1 else _const(consts, a) for a in row]
+                    for row in inverse]
+            pulled = [_bind(body, c) for c in _emit_pull(ys, offset, rows, body)]
+            inside = " and ".join(f"abs({c}) < 1.0" for c in pulled)
+            body.append(f" if not ({inside}):\n  return {name!r}, x\n")
+        body[tests:] = [textwrap.indent(line, " ") for line in body[tests:]]
+        # ``pulled`` now names the new ambient model coordinates
+        body.append(" except (ZeroDivisionError, OverflowError):\n  return 'inner', x\n"
+                    f" {news} = {', '.join(f'{c}.real, {c}.imag' for c in pulled)}\n")
+        for i, (m, n, p) in enumerate(zip(ms, ns, pulled)):
+            # t = max(pseudo_hyperbolic(m_i, p_i) for each i), operation for operation
+            q = (f"abs({m} - {p}) / abs(complex(1.0 - ("
+                 f"{n}r * {m}r + {n}i * {m}i), {n}r * {m}i - {n}i * {m}r))")
+            # like max, keep the first of equal values
+            body.append(f" t = {q}\n" if i == 0 else f" q = {q}\n if q > t:\n  t = q\n")
+        ceiling, atanh, log1p, required, guard = (
+            _const(consts, c)
+            for c in (_ATANH_CEILING, atanh_stable, np.log1p, required_iterations, MAX_ITER_GUARD)
+        )
+        body.append(
+            # t is a quotient of moduli, so only NaN or the guard fails; atanh_stable raises
+            f" if not t < {ceiling}:\n  {atanh}(t)\n"
+            f" step = 0.5 * float({log1p}(2.0 * t / (1.0 - t)))\n append(step)\n"
+            # theory fixes the count from the first step; the guard absorbs rounding
+            " if max_iter is None:\n"
+            f"  max_iter = {required}(k, step, tol) + {guard} if step > 0.0 else 1\n"
+            " if step * factor <= tol:\n  break\n"
+            " if len(trace) >= max_iter:\n  return 'budget', x\n"
+            f" x = y\n {', '.join(ms)}, {olds} = {', '.join(pulled)}, {news}\n"
+        )
+        body[loop:] = [textwrap.indent(line, " ") for line in body[loop:]]
+        params = ["x", "m", "k", "factor", "tol", "max_iter", "trace"]
+        return k, _function(params, consts, body, "None, y")
 
 
 _problem = _instance(FixedPointProblem, "a FixedPointProblem")
@@ -247,40 +285,32 @@ def _iterate(problem: FixedPointProblem, k: float, x: Point) -> FixedPointResult
     ambient, f = problem.ambient, problem.mapping
     if not ambient.contains(x, 0.0):
         raise DomainError(f"start {x!r} is not inside the ambient domain")
-    advance = problem._solver[1]
     factor = k / (1.0 - k)
     tol = problem.tolerance
     trace: list[float] = []
-    max_iter = problem.max_iter
-    mx = ambient._pull_point(x)  # the ambient model coordinates of the iterate
-    while True:
-        out = advance(x, mx)
-        if type(out) is str:  # a failed test, named by its domain
-            x_next = f._evaluate_point(x)  # raises the map's own NumericError where it failed
-            if out == "inner":
-                raise HypothesisError(
-                    f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
-                    "the image containment hypothesis fails",
-                    trace,
-                )
-            # inner lies inside ambient, so only rounding can bring an iterate here
-            raise DomainError(f"iterate {x_next!r} is not inside {ambient!r}")
-        x_next, mx, t = out
-        step = atanh_stable(t)
-        trace.append(step)
-        if max_iter is None:
-            # theory fixes the count from the first step; the guard absorbs rounding
-            max_iter = required_iterations(k, step, tol) + MAX_ITER_GUARD if step > 0.0 else 1
-        if step * factor <= tol:
-            break
-        if len(trace) >= max_iter:
-            raise NonConvergenceError(
-                f"no convergence within {max_iter} iterations "
-                f"(last step {step!r}, required bound {tol * (1.0 - k) / k if k else tol!r})",
+    failed, x = problem._solver[1](
+        x, ambient._pull_point(x), k, factor, tol, problem.max_iter, trace
+    )
+    if failed == "budget":  # the budget is first reached when len(trace) equals it
+        raise NonConvergenceError(
+            f"no convergence within {len(trace)} iterations "
+            f"(last step {trace[-1]!r}, required bound {tol * (1.0 - k) / k if k else tol!r})",
+            trace,
+        )
+    if failed is not None:  # a failed test at the image of x
+        try:
+            x_next = f._evaluate_point(x)  # raises the map's own error where it failed
+        except NumericError as exc:
+            raise NumericError(str(exc), trace) from None
+        if failed == "inner":
+            raise HypothesisError(
+                f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
+                "the image containment hypothesis fails",
                 trace,
             )
-        x = x_next
-    residual = ambient.caratheodory(x_next, f.evaluate(x_next))
+        # inner lies inside ambient, so only rounding can bring an iterate here
+        raise DomainError(f"iterate {x_next!r} is not inside {ambient!r}")
+    residual = ambient.caratheodory(x, f.evaluate(x))
     if residual > tol:
         raise HypothesisError(
             f"fixed-point residual {residual!r} exceeds the tolerance {tol!r}; "
@@ -289,7 +319,7 @@ def _iterate(problem: FixedPointProblem, k: float, x: Point) -> FixedPointResult
         )
     n = len(trace)
     return FixedPointResult(
-        point=x_next,
+        point=x,
         iterations=n,
         last_step=trace[-1],
         certified_bound=trace[-1] * factor,

@@ -97,6 +97,40 @@ def test_points_too_large_for_a_double_are_structural_errors():
     assert UnitDisk().contains_many(np.array([0.1, 2**70], dtype=object)).tolist() == [True, False]
 
 
+def test_finite_points_whose_modulus_overflows_are_outside():
+    huge = 1.3e308 + 1.3e308j  # finite, but its modulus is beyond the float range
+    disk = UnitDisk()
+    assert disk.contains(huge) is False
+    assert disk.contains_many([huge]).tolist() == [False]
+    with pytest.raises(DomainError, match="is not inside"):
+        disk.caratheodory(0.1, huge)
+
+
+def test_bulk_membership_decides_as_scalar_membership():
+    # np.abs can be 2 ulp from the hypot that abs uses, so at a modulus within an ulp or
+    # two of the limit it disagreed with the scalar test on about one point in six
+    assert UnitDisk().contains(-0.783814003152143 - 0.6209956589724377j)
+    assert UnitDisk().contains_many([-0.783814003152143 - 0.6209956589724377j]).tolist() == [True]
+    rng = np.random.default_rng(5)
+    for margin in (0.0, 0.25):
+        limit = 1.0 - margin
+        moduli = np.where(rng.random(20000) < 0.5, np.nextafter(limit, 0.0), limit)
+        points = moduli * np.exp(2j * np.pi * rng.random(20000))
+        for domain, pts in ((UnitDisk(), points[:, None]),
+                            (Polydisk((1.0, 0.5)), np.stack([0.1 * points, 0.5 * points], 1))):
+            expected = [domain.contains(p, margin) for p in pts.tolist()]
+            assert 0 < sum(expected) < len(expected)
+            assert domain.contains_many(pts, margin).tolist() == expected
+            if not margin:
+                continue  # pairs this close to the boundary have no finite distance
+            # the distances' validation decides each point as ``contains`` does
+            inside = pts[np.array(expected)]
+            outside = pts[~np.array(expected)][:1]
+            domain._distances(inside, np.zeros_like(inside), ("xs", "ys"), margin)
+            with pytest.raises(DomainError, match=r"^xs\[0\]"):
+                domain._distances(outside, np.zeros_like(outside), ("xs", "ys"), margin)
+
+
 def test_sample_stream_validation():
     with pytest.raises(StructuralError):
         SampleStream(seed=-1, count=10)

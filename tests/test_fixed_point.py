@@ -13,6 +13,7 @@ from cmetric import (
     Affine,
     AffineDiskImage,
     AffineImage,
+    CmetricError,
     Compose,
     ContractionCertificate,
     Domain,
@@ -308,22 +309,21 @@ def test_solve_pulls_each_iterate_once_per_chart(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     for problem in (_problem(), _problem(tolerance=1e-4), _polydisk_problem(3, seed=5),
                     _affine_problem(2, seed=41)):
-        k, step = problem._solver
+        k, loop = problem._solver
 
-        def counted_step(*args):
-            calls["step"] += 1
-            return step(*args)
+        def counted_loop(*args):
+            calls["loop"] += 1
+            return loop(*args)
 
-        vars(problem)["_solver"] = (k, counted_step)  # where the cached property keeps it
+        vars(problem)["_solver"] = (k, counted_loop)  # where the cached property keeps it
         calls.clear()
-        n = solve(problem).iterations
-        assert n > 1
+        assert solve(problem).iterations > 1
         # the public calls check the start and the residual of the returned point
         assert calls.pop("contains") == calls.pop("caratheodory") == calls.pop("evaluate") == 1
-        # one compiled step per iteration pulls its image through both charts; the
-        # start's public check and its ambient model coordinates, and the residual's
+        # one compiled loop runs every iteration, pulling each image through both charts;
+        # the start's public check and its ambient model coordinates, and the residual's
         # two points, are the only other pulls
-        assert calls == {"_pull_point": 4, "step": n}
+        assert calls == {"_pull_point": 4, "loop": 1}
 
 
 def _polydisk_problem(n, seed, radii=None):
@@ -359,31 +359,68 @@ def _affine_problem(n, seed):
 
 
 def _reference_solve(problem):
-    """``solve`` written with the public calls only, for a derived certificate."""
+    """``solve`` written with the public calls only, for a derived certificate, raising the
+    errors that ``solve`` documents."""
     ambient, inner, f = problem.ambient, problem.inner, problem.mapping
     tol, max_iter = problem.tolerance, problem.max_iter
     k = diameter(ambient, inner).k
     factor = k / (1.0 - k)
     x = problem.start
-    assert ambient.contains(x)
+    if not ambient.contains(x):
+        raise DomainError(f"start {x!r} is not inside the ambient domain")
     trace = []
     while True:
-        x_next = f.evaluate(x)
-        assert inner.contains(x_next)
+        try:
+            x_next = f.evaluate(x)
+        except NumericError as exc:
+            raise NumericError(str(exc), trace) from None
+        if not inner.contains(x_next):
+            raise HypothesisError(
+                f"iterate {x_next!r} left the inner domain at step {len(trace)}; "
+                "the image containment hypothesis fails",
+                trace,
+            )
+        if not ambient.contains(x_next):
+            raise DomainError(f"iterate {x_next!r} is not inside {ambient!r}")
         step = ambient.caratheodory(x, x_next)
         trace.append(step)
         if max_iter is None:
             max_iter = required_iterations(k, step, tol) + MAX_ITER_GUARD if step > 0.0 else 1
         if step * factor <= tol:
             break
-        assert len(trace) < max_iter
+        if len(trace) >= max_iter:
+            raise NonConvergenceError(
+                f"no convergence within {max_iter} iterations "
+                f"(last step {step!r}, required bound {tol * (1.0 - k) / k if k else tol!r})",
+                trace,
+            )
         x = x_next
-    assert ambient.caratheodory(x_next, f.evaluate(x_next)) <= tol
+    residual = ambient.caratheodory(x_next, f.evaluate(x_next))
+    if residual > tol:
+        raise HypothesisError(
+            f"fixed-point residual {residual!r} exceeds the tolerance {tol!r}; "
+            "the contraction hypothesis fails for this setup",
+            trace,
+        )
     n = len(trace)
     return FixedPointResult(
         point=x_next, iterations=n, last_step=trace[-1], certified_bound=trace[-1] * factor,
         apriori_bound=k**n * trace[0] / (1.0 - k), k_used=k, trace=tuple(trace),
     )
+
+
+def _outcome(run, problem):
+    """What ``run(problem)`` returns or raises, with every bit of each float."""
+    try:
+        return repr(run(problem))
+    except CmetricError as exc:
+        return type(exc), str(exc), repr(exc.trace)
+
+
+def _conjugated(chart: Affine, mapping: HoloMap) -> HoloMap:
+    """``chart ∘ mapping ∘ chart^-1`` for a one-dimensional ``chart`` z -> a z + b."""
+    (a,), (b,) = chart.matrix[0], chart.offset
+    return Compose(chart, Compose(mapping, Affine(((1 / a,),), (-b / a,))))
 
 
 def _seeded_problems():
@@ -398,6 +435,22 @@ def _seeded_problems():
     for n in range(1, 4):
         for seed in range(2):
             yield _affine_problem(n, seed=20 * n + seed)
+    # off-centre disks: every chart term is kept
+    centre, radius, bias = 0.2 - 0.1j, 1.5, 0.7
+    yield FixedPointProblem(
+        AffineDiskImage(centre, radius), AffineDiskImage(centre + 0.01, radius * (bias + 0.02)),
+        _conjugated(Affine(((radius,),), (centre,)), random_selfmap(UnitDisk(), 7, bias)),
+        centre + 0.4j, 1e-11,
+    )
+    scaled = ScaledDisk(0.8)  # a diagonal A^-1 entry of 1.25, offset 0
+    yield FixedPointProblem(scaled, ScaledDisk(0.8 * bias),
+                            _conjugated(Affine(((0.8,),), (0.0,)), random_selfmap(UnitDisk(), 8, bias)),
+                            -0.3j, 1e-11)
+    yield dataclasses.replace(_polydisk_problem(2, seed=9), max_iter=500)
+    yield dataclasses.replace(_polydisk_problem(2, seed=9),
+                              start=(complex(-0.0, 0.3), complex(0.2, -0.0)))
+    yield dataclasses.replace(_polydisk_problem(1, seed=9), start=(complex(-0.0, -0.0),))
+    yield FixedPointProblem(UnitDisk(), ScaledDisk(0.5), Polynomial(((-0j,),)), 0.4 - 0.2j, 1e-11)
 
 
 @pytest.mark.parametrize("problem", list(_seeded_problems()))
@@ -406,6 +459,35 @@ def test_solve_is_byte_identical_to_the_public_call_loop(problem):
     assert result.iterations > 1
     # repr keeps every bit of a float, the sign of a zero included
     assert repr(result) == repr(_reference_solve(problem))
+
+
+def _failing_problems():
+    shift = Polynomial(((0.3, 0.5),))  # leaves D(0, 1/2) at its third iterate
+    yield "escape", HypothesisError, FixedPointProblem(UnitDisk(), ScaledDisk(0.5), shift, 0.0, 1e-9)
+    later_pole = Compose(Mobius(0.5), Polynomial(((2.0, -4.0),)))  # fails at its second iterate
+    yield "pole", NumericError, FixedPointProblem(UnitDisk(), ScaledDisk(0.5), later_pole, 0.375, 1e-9)
+    yield "given budget", NonConvergenceError, _problem(tolerance=1e-12, max_iter=3)
+    # rate 0.9 above k = 0.8: the derived budget runs out
+    slow = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), ScalarScale(0.9), 0.4, 1e-9)
+    yield "derived budget", NonConvergenceError, slow
+    # the first step's quotient is the start's modulus, 1 - 2^-53, at the atanh guard
+    constant = Polynomial(((0j,),))
+    near_rim = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), constant, 1 - 2**-53, 1e-9)
+    yield "atanh guard", DomainError, near_rim
+    # the image is finite, but its modulus overflows in the inner test
+    huge = Compose(ScalarScale(1e308), Polynomial((((1.3 + 1.3j),),)))
+    yield "overflow", HypothesisError, FixedPointProblem(Polydisk((10.0,)), UnitDisk(), huge, 0.0, 1e-6)
+    expanding = Polynomial(((-2.7, 10.0),))  # stops at once; its residual is too large
+    problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), expanding, 0.3 + 1e-6, 5e-5)
+    yield "residual", HypothesisError, problem
+
+
+@pytest.mark.parametrize("error, problem", [case[1:] for case in _failing_problems()],
+                         ids=[case[0] for case in _failing_problems()])
+def test_solve_fails_as_the_public_call_loop_fails(error, problem):
+    outcome = _outcome(solve, problem)
+    assert outcome[0] is error
+    assert outcome == _outcome(_reference_solve, problem)
 
 
 def test_map_blowing_up_inside_the_loop_is_a_numeric_error():
@@ -420,12 +502,16 @@ def test_map_blowing_up_inside_the_loop_is_a_numeric_error():
         problem = FixedPointProblem(UnitDisk(), ScaledDisk(0.5), mapping, start, 1e-9)
         with pytest.raises(NumericError) as info:
             solve(problem)
-        x = problem.start
+        x, trace = problem.start, []
         for _ in range(steps):
-            x = mapping.evaluate(x)
+            x_next = mapping.evaluate(x)
+            trace.append(UnitDisk().caratheodory(x, x_next))
+            x = x_next
         with pytest.raises(NumericError) as direct:
             mapping.evaluate(x)
         assert str(info.value) == str(direct.value)
+        # the error carries the steps recorded before it
+        assert info.value.trace == tuple(trace) and len(trace) == steps
 
 
 # -- step contraction check -----------------------------------------------------------

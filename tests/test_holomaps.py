@@ -301,7 +301,7 @@ def test_maps_stay_plain_values_after_evaluation():
     assert problem == FixedPointProblem(UnitDisk(), ScaledDisk(0.8), maps[0], 0.1, 1e-9)
     back = pickle.loads(pickle.dumps(problem))
     assert back == problem and repr(solve(back)) == repr(result)
-    # the step's source depends only on the dimension and on which charts are diagonal
+    # the loop's source depends only on the dimension and on the charts' shapes
     bidisk, shear = Polydisk((1.0, 1.0)), ((1.0, 0.2), (0.0, 1.0))
     diagonal = [
         FixedPointProblem(bidisk, Polydisk((r, r)), random_selfmap(bidisk, seed, r), (0, 0), 1e-9)
@@ -310,10 +310,15 @@ def test_maps_stay_plain_values_after_evaluation():
     full = FixedPointProblem(AffineImage(bidisk, shear, (0.0, 0.1)),
                              AffineImage(Polydisk((0.5, 0.5)), shear, (0.0, 0.1)),
                              Identity(2), (0, 0), 1e-9)
-    steps = [p._solver[1] for p in diagonal + [full]]
-    assert steps[0].__code__ is steps[1].__code__
-    assert steps[0].__defaults__ != steps[1].__defaults__
-    assert steps[2].__code__ is not steps[0].__code__
+    wide = Polydisk((2.0, 2.0))
+    scaled = FixedPointProblem(wide, Polydisk((1.2, 1.2)), random_selfmap(wide, 1, 0.6), (0, 0), 1e-9)
+    loops = [p._solver[1] for p in diagonal + [full, scaled]]
+    assert loops[0].__code__ is loops[1].__code__
+    assert loops[0].__defaults__ != loops[1].__defaults__
+    assert loops[2].__code__ is not loops[0].__code__
+    # the identity chart of ``bidisk`` costs no pull: its A^-1 entries are no parameters
+    assert loops[3].__code__ is not loops[0].__code__
+    assert len(loops[3].__defaults__) == len(loops[0].__defaults__) + 2
     gc.disable()  # no reference cycle: an evaluated map dies on ``del`` alone
     try:
         f = random_selfmap(Polydisk((1.0, 0.5)), 3, 0.6)
