@@ -21,6 +21,7 @@ ambient domain into the unit disk normalized so that g(x) = 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,10 +33,10 @@ from .domains import (
     Point,
     PointLike,
     SampleStream,
-    _chunks,
     _instance,
     _integer,
     _many,
+    _map_chunks,
     _margin,
     _polar,
     _READERS,
@@ -213,8 +214,8 @@ def _closed_form_tanh_diameter(ambient: Domain, inner: Domain, margin: float) ->
 # -- sampled diameters --------------------------------------------------------
 
 
-def _rim_biased(u: np.ndarray) -> np.ndarray:
-    return u ** (1.0 / BOUNDARY_BIAS)
+def _rim_biased(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.power(u, 1.0 / BOUNDARY_BIAS, out=out)
 
 
 def _sampled_diameter(
@@ -225,8 +226,8 @@ def _sampled_diameter(
     Each row draws one pair, with moduli biased toward (1 - margin) of the boundary, so
     prefixes agree across counts and the running maximum is reproducible and nondecreasing.
     """
-    largest = -math.inf
-    for chunk in _chunks(stream, 2 * inner.dim):
+
+    def part(chunk: SampleStream) -> float:
         model = _polar(chunk, inner.dim, 2, _rim_biased)
         xs, ys = inner._push(model[:, 0, :]), inner._push(model[:, 1, :])
         try:
@@ -235,8 +236,9 @@ def _sampled_diameter(
             raise HypothesisError(
                 f"{exc} with margin {margin:g}; the nesting hypothesis fails"
             ) from exc
-        largest = max(largest, float(distances.max()))
-    return largest
+        return float(distances.max())
+
+    return functools.reduce(max, _map_chunks(part, stream, 2 * inner.dim), -math.inf)
 
 
 def diameter(
@@ -346,27 +348,41 @@ def verify_nesting(
     residuals ``c_ambient - k * c_inner`` and
     ``c_ambient - atanh(k * tanh(c_inner))`` and reports the maximum over all
     pairs and both forms, together with the worst pair (first index wins on
-    ties).  Pairs are drawn and reduced in fixed-size chunks of the stream, in
-    stream order, so memory stays bounded whatever the pair count and the
-    report equals that of one pass over all pairs.  ``cert`` must certify
+    ties).  Pairs are drawn and reduced in fixed-size chunks of the stream, up
+    to two at a time on threads, and combined in stream order, so memory stays
+    bounded whatever the pair count and the report equals that of one pass
+    over all pairs.  ``cert`` must certify
     this nesting: closed-form, with a k no smaller than the nesting's own; a
     smaller k would produce false violations.
     """
     k = _require_certificate(diameter(ambient, inner).k, cert)
-    max_violation, worst_pair, max_ratio = -math.inf, None, -math.inf
-    for first, xs, ys in _sample_pairs(inner, stream):
-        c_ambient = ambient.caratheodory_many(xs, ys, first_row=first)
-        c_inner = inner.caratheodory_many(xs, ys, first_row=first)
-        linear = c_ambient - k * c_inner
-        chained = c_ambient - np.arctanh(k * np.tanh(c_inner))
-        per_pair = np.maximum(linear, chained)
+
+    def part(chunk: SampleStream) -> tuple[float, tuple[Point, Point], float]:
+        """The chunk's largest residual, its first pair with it, and its largest ratio."""
+        xs, ys = _sample_pairs(inner, chunk)
+        c_ambient = ambient.caratheodory_many(xs, ys, first_row=chunk.start)
+        c_inner = inner.caratheodory_many(xs, ys, first_row=chunk.start)
+        per_pair = np.multiply(k, c_inner)  # c_ambient - k * c_inner
+        np.subtract(c_ambient, per_pair, out=per_pair)
+        chained = np.tanh(c_inner)  # c_ambient - atanh(k * tanh(c_inner))
+        np.multiply(k, chained, out=chained)
+        np.arctanh(chained, out=chained)
+        np.subtract(c_ambient, chained, out=chained)
+        np.maximum(per_pair, chained, out=per_pair)
         worst = int(np.argmax(per_pair))
-        if worst_pair is None or per_pair[worst] > max_violation:
-            max_violation = float(per_pair[worst])
-            worst_pair = (tuple(xs[worst].tolist()), tuple(ys[worst].tolist()))
         positive = c_inner > 0.0
-        if positive.any():
-            max_ratio = max(max_ratio, float((c_ambient[positive] / c_inner[positive]).max()))
+        ratios = np.divide(c_ambient, c_inner, out=chained, where=positive)
+        return (
+            float(per_pair[worst]),
+            (tuple(xs[worst].tolist()), tuple(ys[worst].tolist())),
+            float(np.max(ratios, where=positive, initial=-math.inf)),
+        )
+
+    max_violation, worst_pair, max_ratio = -math.inf, None, -math.inf
+    for violation, pair, ratio in _map_chunks(part, stream, inner.dim):
+        if worst_pair is None or violation > max_violation:
+            max_violation, worst_pair = violation, pair
+        max_ratio = max(max_ratio, ratio)
     return NestingReport(
         pairs_checked=stream.count,
         max_violation=max_violation,

@@ -45,6 +45,7 @@ from .domains import (
     _emit_pull,
     _function,
     _instance,
+    _map_chunks,
     _real,
     _sample_pairs,
     _sequence,
@@ -245,8 +246,8 @@ def step_contraction_check(
     """
     k = _require_certificate(diameter(ambient, inner).k, cert)
     mapping = _map_between(mapping, ambient.dim, ambient.dim, "mapping")
-    largest = -math.inf
-    for first, xs, ys in _sample_pairs(ambient, stream):
+
+    def inside_images(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fxs = mapping.evaluate_many(xs)
         fys = mapping.evaluate_many(ys)
         for arr in (fxs, fys):
@@ -257,10 +258,17 @@ def step_contraction_check(
                     f"image point {tuple(arr[i].tolist())!r} escapes the inner domain; "
                     "the containment hypothesis fails"
                 )
-        images = ambient.caratheodory_many(fxs, fys, first_row=first)
-        gaps = images - k * ambient.caratheodory_many(xs, ys, first_row=first)
-        largest = max(largest, float(gaps.max()))
-    return largest
+        return fxs, fys
+
+    def part(chunk: SampleStream) -> float:
+        xs, ys = _sample_pairs(ambient, chunk)
+        # the images are freed before the second distance: a chunk holds less at a time
+        gaps = ambient.caratheodory_many(*inside_images(xs, ys), first_row=chunk.start)
+        gaps -= k * ambient.caratheodory_many(xs, ys, first_row=chunk.start)
+        return float(gaps.max())
+
+    mapping._fn  # compiled here, before any chunk runs on another thread
+    return functools.reduce(max, _map_chunks(part, stream, ambient.dim), -math.inf)
 
 
 def solve(

@@ -32,11 +32,11 @@ from .domains import (
     UnitDisk,
     as_point,
     _bind,
-    _chunks,
     _const,
     _function,
     _instance,
     _many,
+    _map_chunks,
     _points_array,
     _READERS,
     _real,
@@ -110,13 +110,14 @@ class HoloMap(abc.ABC):
     def evaluate_many(self, pts) -> np.ndarray:
         """Evaluate over an (n, in_dim) array, returning (n, out_dim)."""
         arr = _points_array(pts, self.in_dim, "points")
-        fn, out = self._fn, np.empty((arr.shape[0], self.out_dim), dtype=complex)
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for j, col in enumerate(fn(*arr.T)):
-                    out[:, j] = col  # a constant output broadcasts down its column
+                cols = self._fn(*arr.T)
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericError(f"{type(self).__name__} node blew up: {exc}") from None
+        out = np.empty((arr.shape[0], self.out_dim), dtype=complex)  # after the temporaries
+        for j, col in enumerate(cols):
+            out[:, j] = col  # a constant output broadcasts down its column
         if not np.isfinite(out.view(float)).all():
             raise NumericError(f"non-finite value produced by {type(self).__name__} node")
         return out
@@ -362,10 +363,12 @@ def image_bound(
     """
     source, target = _READERS["Domain"](source, "source"), _READERS["Domain"](target, "target")
     f = _map_between(f, source.dim, target.dim, "f")
-    sup = -math.inf
-    for chunk in _chunks(stream, source.dim):
-        images = f.evaluate_many(source.sample(chunk))
-        sup = max(sup, float(target.boundary_proximity_many(images).max()))
+
+    def part(chunk: SampleStream) -> float:
+        return float(target.boundary_proximity_many(f.evaluate_many(source.sample(chunk))).max())
+
+    f._fn  # compiled here, before any chunk runs on another thread
+    sup = functools.reduce(max, _map_chunks(part, stream, source.dim), -math.inf)
     return ImageBoundReport(
         sup_modulus_estimate=sup,
         sample_count=stream.count,

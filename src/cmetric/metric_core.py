@@ -147,16 +147,30 @@ def poincare_distance_many(z, w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     zr, zi = z.real, z.imag
     wr, wi = w.real, w.imag
-    cross_re = wr * zr + wi * zi  # Re(conj(w) z); symmetric under swap
-    cross_im = wr * zi - wi * zr  # Im(conj(w) z); negates exactly under swap
-    num = np.hypot(zr - wr, zi - wi)
-    den = np.hypot(1.0 - cross_re, cross_im)
-    t = num / den
+    # three buffers, each operation written into one of them
+    den, tmp, cross_im = (np.empty(np.broadcast_shapes(z.shape, w.shape)) for _ in range(3))
+    np.multiply(wr, zr, out=den)  # Re(conj(w) z); symmetric under swap
+    np.multiply(wi, zi, out=tmp)
+    den += tmp
+    np.multiply(wr, zi, out=cross_im)  # Im(conj(w) z); negates exactly under swap
+    np.multiply(wi, zr, out=tmp)
+    cross_im -= tmp
+    np.subtract(1.0, den, out=den)
+    np.hypot(den, cross_im, out=den)
+    t = np.subtract(zr, wr, out=tmp)  # the numerator |z - w|
+    np.subtract(zi, wi, out=cross_im)
+    np.hypot(t, cross_im, out=t)
+    t /= den
     if np.any(t >= _ATANH_CEILING):
         raise DomainError(
             "a pair of points is too close to the disk boundary for a finite distance"
         )
-    return 0.5 * np.log1p(2.0 * t / (1.0 - t))
+    out = np.multiply(2.0, t, out=cross_im)  # 0.5 * log1p(2t / (1 - t))
+    np.subtract(1.0, t, out=den)
+    out /= den
+    np.log1p(out, out=out)
+    out *= 0.5
+    return out if out.ndim else out[()]
 
 
 def convexity_margin(r: float, x: float) -> float:

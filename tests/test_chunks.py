@@ -2,11 +2,16 @@
 
 ``verify_nesting``, the sampled ``diameter``, ``step_contraction_check`` and
 ``image_bound`` walk their streams in row ranges of at most ``CHUNK``
-coordinates.  The references below are the whole-array formulas the
-reductions used before they were chunked; every result must equal them
-bit for bit, at counts on both sides of the chunk boundaries.
+coordinates, on the calling thread with one worker and on a thread pool with
+two.  The references below are the whole-array formulas the reductions used
+before they were chunked; every result, and every error, must equal them bit
+for bit on both walker paths, at counts on both sides of the chunk boundaries.
 """
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,11 +35,21 @@ from cmetric import (
     step_contraction_check,
     verify_nesting,
 )
+from cmetric import domains
 from cmetric.contraction import BOUNDARY_BIAS
 from cmetric.domains import CHUNK
 from cmetric.metric_core import poincare_distance_many
 
 PAIR_SALT = 0x9E3779B97F4A7C15
+
+
+def each_walker(monkeypatch):
+    """Run the loop body once with one chunk worker and once with two, whatever the
+    machine's CPU count."""
+    for workers in (1, 2):
+        monkeypatch.setattr(domains, "_WORKERS", workers)
+        yield workers
+
 
 # -- the whole-array references ------------------------------------------------------
 
@@ -132,24 +147,27 @@ CASES = {
     ),
 }
 
-COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+# the chunk boundaries of one-dimensional pairs (CHUNK rows) and of the sampled
+# diameter's two-point rows (CHUNK // 2 rows)
+HALF = CHUNK // 2
+COUNTS = [1, HALF - 1, HALF, HALF + 1, 3 * HALF + 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
 
 
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_chunked_reductions_equal_one_pass(case, count):
+def test_chunked_reductions_equal_one_pass(case, count, monkeypatch):
     ambient, inner, mapping, image = CASES[case]
     stream = SampleStream(seed=1000 + count, count=count)
+    report = whole_verify(ambient, inner, stream)
+    sampled = whole_diameter(ambient, inner, SampleStream(count, count, 1e-5))
+    gap = whole_step(mapping, ambient, image, stream)
+    bound = whole_image_bound(mapping, ambient, ambient, stream)
     cert = diameter(ambient, inner)
-    assert verify_nesting(ambient, inner, cert, stream).to_json_dict() == whole_verify(
-        ambient, inner, stream
-    )
-    sampled = diameter(ambient, inner, SampleStream(count, count, boundary_margin=1e-5))
-    assert sampled.M == whole_diameter(ambient, inner, SampleStream(count, count, 1e-5))
-    gap = step_contraction_check(mapping, ambient, image, None, stream)
-    assert gap == whole_step(mapping, ambient, image, stream)
-    bound = image_bound(mapping, ambient, ambient, stream)
-    assert bound.sup_modulus_estimate == whole_image_bound(mapping, ambient, ambient, stream)
+    for _ in each_walker(monkeypatch):
+        assert verify_nesting(ambient, inner, cert, stream).to_json_dict() == report
+        assert diameter(ambient, inner, SampleStream(count, count, 1e-5)).M == sampled
+        assert step_contraction_check(mapping, ambient, image, None, stream) == gap
+        assert image_bound(mapping, ambient, ambient, stream).sup_modulus_estimate == bound
 
 
 def test_verify_nesting_memory_does_not_grow_with_the_pair_count():
@@ -179,25 +197,148 @@ class LeakyDisk(ScaledDisk):
         return points
 
 
-def test_membership_error_names_the_stream_row():
+def test_membership_error_names_the_stream_row(monkeypatch):
     inner = LeakyDisk(0.5)
     stream = SampleStream(seed=8, count=3 * CHUNK)
-    with pytest.raises(DomainError, match=rf"^xs\[{LEAKY_ROW}\] = "):
-        verify_nesting(UnitDisk(), inner, diameter(UnitDisk(), inner), stream)
+    for _ in each_walker(monkeypatch):
+        with pytest.raises(DomainError, match=rf"^xs\[{LEAKY_ROW}\] = "):
+            verify_nesting(UnitDisk(), inner, diameter(UnitDisk(), inner), stream)
 
 
 @pytest.mark.parametrize("seed", [1, 4])
-def test_sampled_diameter_error_names_the_stream_row(seed):
-    # a disk just too large for the 1e-6 margin: about one boundary-biased
-    # sample in ten thousand falls outside it
-    inner = AffineDiskImage(0.0, (1.0 - 9.5e-7) / (1.0 - 1e-3))
-    stream = SampleStream(seed=seed, count=20_000)
+def test_sampled_diameter_error_names_the_stream_row(seed, monkeypatch):
+    # a disk just too large for the 1e-6 margin: one or two boundary-biased pairs
+    # in forty thousand fall outside it
+    inner = AffineDiskImage(0.0, (1.0 - 9.9e-7) / (1.0 - 1e-3))
+    stream = SampleStream(seed=seed, count=40_000)
     xs, ys = whole_biased_pairs(inner, stream)
     outside = (np.abs(xs[:, 0]) >= 1.0 - 1e-6) | (np.abs(ys[:, 0]) >= 1.0 - 1e-6)
     row = int(np.argmax(outside))
     assert row >= CHUNK // 2  # past the first chunk of pairs
-    with pytest.raises(HypothesisError, match=rf"^inner samples\[{row}\] = "):
-        diameter(UnitDisk(), inner, stream)
+    for _ in each_walker(monkeypatch):
+        with pytest.raises(HypothesisError, match=rf"^inner samples\[{row}\] = "):
+            diameter(UnitDisk(), inner, stream)
+
+
+class GatedDisk(UnitDisk):
+    """The unit disk, with two stream rows put outside it when its distances are taken:
+    ``rows[0]``, whose chunk waits on a pool thread until the chunk of ``rows[1]`` has
+    failed, so that the later error is the first one raised."""
+
+    rows = (-1, -1)
+    later_failed = threading.Event()
+
+    def _distances(self, xa, ya, names, margin=0.0, first_row=0):
+        early, late = (row - first_row for row in self.rows)
+        if 0 <= early < len(xa):
+            if threading.current_thread() is not threading.main_thread():
+                assert self.later_failed.wait(timeout=10)
+            xa[early] = 1.5
+        if 0 <= late < len(xa):
+            xa[late] = 1.5
+        try:
+            return super()._distances(xa, ya, names, margin, first_row)
+        except DomainError:
+            if 0 <= late < len(xa):
+                self.later_failed.set()
+            raise
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_the_first_error_in_stream_order_wins_when_a_later_chunk_fails_first(
+    sampled, monkeypatch
+):
+    ambient, inner = GatedDisk(), ScaledDisk(0.5)
+    rows = CHUNK // 2 if sampled else CHUNK  # rows per chunk
+    early, late = rows + 5, 2 * rows + 5  # in the second and the third chunk
+    stream = SampleStream(seed=9, count=4 * rows)
+    error, name = (HypothesisError, "inner samples") if sampled else (DomainError, "xs")
+    whole = whole_diameter if sampled else whole_verify
+    reference = whole(ambient, inner, stream)
+
+    def reduce():
+        if sampled:
+            return diameter(ambient, inner, stream).M
+        return verify_nesting(ambient, inner, None, stream).to_json_dict()
+
+    for workers in each_walker(monkeypatch):
+        monkeypatch.setattr(GatedDisk, "rows", (early, late))
+        monkeypatch.setattr(GatedDisk, "later_failed", threading.Event())
+        with pytest.raises(error, match=rf"^{name}\[{early}\] = \(\(1\.5\+0j\),\) "):
+            reduce()
+        assert GatedDisk.later_failed.is_set() == (workers == 2)  # inline, chunk 3 never ran
+        monkeypatch.setattr(GatedDisk, "rows", (-1, -1))
+        assert reduce() == reference  # the next call in the same process
+
+
+def test_concurrent_callers_share_the_pool_and_the_seed_cache(monkeypatch):
+    # four callers at once on the two-thread pool, with thread switches every microsecond;
+    # streams of one seed share its cached seed words
+    monkeypatch.setattr(domains, "_WORKERS", 2)
+    ambient, inner = UnitDisk(), ScaledDisk(0.5)
+    streams = [SampleStream(seed=77 + i % 2, count=2 * CHUNK + 3) for i in range(4)]
+    expected = [whole_verify(ambient, inner, s) for s in streams]
+    results = {}
+
+    def call(i):
+        results[i] = verify_nesting(ambient, inner, None, streams[i]).to_json_dict()
+
+    domains._hashed_seed.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert [results.get(i) for i in range(4)] == expected
+
+
+class ErrorStateDisk(UnitDisk):
+    """The unit disk, noting numpy's error state whenever its distances are taken."""
+
+    seen = []
+
+    def _distances(self, *args, **kwargs):
+        self.seen.append(np.geterr())
+        return super()._distances(*args, **kwargs)
+
+
+def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):
+    ambient, inner = ErrorStateDisk(), ScaledDisk(0.5)
+    stream = SampleStream(seed=12, count=3 * CHUNK + 1)
+    reference = whole_verify(ambient, inner, stream)
+    for _ in each_walker(monkeypatch):
+        monkeypatch.setattr(ErrorStateDisk, "seen", [])
+        with np.errstate(all="raise"):
+            report = verify_nesting(ambient, inner, None, stream)
+        assert report.to_json_dict() == reference
+        assert ErrorStateDisk.seen == [dict.fromkeys(np.geterr(), "raise")] * 4
+
+
+def test_reductions_run_where_the_platform_has_no_affinity_or_fork():
+    # macOS lacks os.sched_getaffinity, Windows also os.register_at_fork
+    code = (
+        "import os; del os.sched_getaffinity, os.register_at_fork\n"
+        "from cmetric import SampleStream, ScaledDisk, UnitDisk, domains, verify_nesting\n"
+        "stream = SampleStream(seed=3, count=3 * domains.CHUNK)\n"
+        "print(domains._WORKERS, verify_nesting(UnitDisk(), ScaledDisk(0.5), None, stream).pairs_checked)\n"
+    )
+    # the child imports the package these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(domains.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(min(2, os.cpu_count() or 1)), str(3 * CHUNK)]
 
 
 @pytest.mark.parametrize("stream", [None, "x", 5])
