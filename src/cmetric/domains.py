@@ -69,10 +69,14 @@ PRECOMPACT_MARGIN = 1e-6
 
 # Sampled reductions walk their streams in row ranges of at most this many
 # coordinates.  The ufunc calls on a chunk must outlast handoffs of the
-# interpreter lock for the libm-bound loops (cos and sin in sampling, hypot in
-# the distance) of two chunks to overlap on two threads: at 4096 two threads
-# gained no wall time, at 8192 they do.
-CHUNK = 8192
+# interpreter lock for the loops of two chunks (cos and sin in sampling, the
+# distance kernel) to overlap on two threads: at 4096 two threads gained no wall
+# time, at 8192 they do.  With the hypot-free kernel the calls got shorter again:
+# nesting-bulk's three verify_nesting calls took a median 143, 126 and 119 ms
+# each at 8192, 12288 and 16384 (11 alternating in-process rounds, 2-vCPU Xeon).
+# 32768 took 108 against 118 ms at 16384, but it doubles the memory per chunk:
+# the peak RSS of those calls was 38.1 MB at 8192, 40.0 at 16384 and 42.7 at 32768.
+CHUNK = 16384
 
 # Threads that run chunks of one reduction: the usable CPUs (all of them where the
 # platform cannot tell), at most 2, the only count measured.  With 1 the walker runs
@@ -365,12 +369,16 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
 
 class _Chart(NamedTuple):
     """A domain's chart A·Δⁿ + b: read-only complex arrays b, A and A^-1 (a diagonal one
-    as its diagonal row), and in ``point`` b and the rows of A^-1 in Python complex."""
+    as its diagonal row), and in ``point`` b and the rows of A^-1 in Python complex.
+    ``centred`` says that b is 0 and ``unit`` that A^-1 is the diagonal of 1s, the terms
+    a bulk pull leaves out."""
 
     offset: np.ndarray
     matrix: np.ndarray
     inverse: np.ndarray
     point: tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]
+    centred: bool
+    unit: bool
 
 
 # -- generated functions ------------------------------------------------------------
@@ -435,9 +443,10 @@ def _pull_function(dim: int, rows: int):
     return _function(["z", "b", "inverse"], [], body, f"({', '.join(outs)},)")
 
 
-def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A x for each row x of ``rows``; a diagonal A, given as one row, scales ``rows`` in place."""
-    return rows @ matrix.T if len(matrix) > 1 else np.multiply(rows, matrix, out=rows)
+def _apply(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """A x for each row x of ``rows``; a diagonal A, given as one row, scales them into ``out``
+    (a new array for ``None``)."""
+    return rows @ matrix.T if len(matrix) > 1 else np.multiply(rows, matrix, out=out)
 
 
 def _full(matrix: np.ndarray) -> np.ndarray:
@@ -467,9 +476,12 @@ class Domain(abc.ABC):
         if inverse is None or not np.isfinite(inverse).all():
             raise StructuralError(f"{self!r} has an uninvertible chart")
         for arr in (offset, matrix, inverse):
-            arr.setflags(write=False)  # ``_apply`` scales the rows it is given in place
+            arr.setflags(write=False)  # ``_apply`` scales into the ``out`` it is given
         point = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
-        object.__setattr__(self, "_affine", _Chart(offset, matrix, inverse, point))
+        centred, unit = not any(point[0]), len(inverse) == 1 and all(a == 1 for a in point[1][0])
+        object.__setattr__(
+            self, "_affine", _Chart(offset, matrix, inverse, point, centred, unit)
+        )
         object.__setattr__(self, "dim", len(offset))
 
     def _check(self) -> None:
@@ -484,8 +496,18 @@ class Domain(abc.ABC):
         """New complex arrays A and b of A·Δⁿ + b; a diagonal A may be its diagonal row."""
 
     def _pull(self, pts: np.ndarray) -> np.ndarray:
-        """Model coordinates A^-1 (z - b) of an (n, dim) array of points."""
-        return _apply(self._affine.inverse, pts - self._affine.offset)
+        """Model coordinates A^-1 (z - b) of an (n, dim) array of points, which it does not
+        write to.
+
+        Like ``_emit_pull``, it leaves out an offset of 0 and an A^-1 whose diagonal is all
+        1s, so a unit disk returns ``pts`` itself and a centred diagonal chart makes one
+        product; this changes no bit of a finite result but the sign of a zero part.
+        """
+        chart = self._affine
+        shifted = pts if chart.centred else pts - chart.offset
+        if chart.unit:
+            return shifted
+        return _apply(chart.inverse, shifted, out=None if shifted is pts else shifted)
 
     def _pull_point(self, p: Point) -> tuple[complex, ...]:
         """Model coordinates A^-1 (z - b) of one point, in Python complex arithmetic."""
@@ -494,13 +516,13 @@ class Domain(abc.ABC):
 
     def _push(self, model: np.ndarray) -> np.ndarray:
         """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""
-        points = _apply(self._affine.matrix, model)
+        points = _apply(self._affine.matrix, model, out=model)
         points += self._affine.offset
         return points
 
     def _relative_chart(self, other: Domain) -> tuple[np.ndarray, np.ndarray]:
         """(T, c) = (A^-1 A_other, A^-1 (b_other - b)): ``other`` in model coordinates."""
-        transform = _apply(self._affine.inverse, _full(other._affine.matrix).T).T
+        transform = _apply(self._affine.inverse, _full(other._affine.matrix).T, out=None).T
         return transform, self._pull(other._affine.offset[None, :])[0]
 
     # -- membership ---------------------------------------------------------

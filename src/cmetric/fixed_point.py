@@ -21,8 +21,9 @@ returns at the stopping iterate or at a failed test, which :func:`solve` turns
 into its error.  Its source depends only on the dimension and on the charts'
 shapes, so problems of one shape share its code; a pull leaves out an offset
 of 0 and a diagonal entry 1 of A^-1, so an identity chart costs no pull.  An
-iteration of the benchmark's ``solve-stream`` costs about 3.2 us in a traced
-run, each solve's start and residual checks included (2-vCPU Xeon, Python 3.11).
+iteration of the benchmark's ``solve-stream`` costs about 3.9 us in a traced
+run, each solve's start and residual checks included, and 2.3 us untraced in
+one process (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import (
     StructuralError,
 )
 from .holomaps import HoloMap, _map_between
-from .metric_core import _ATANH_CEILING, atanh_stable
+from .metric_core import _ATANH_CEILING, _TINY, atanh_stable
 
 __all__ = [
     "FixedPointProblem",
@@ -125,9 +126,11 @@ class FixedPointProblem:
         inside ``ambient``, and ``"budget"`` when ``len(trace)`` reaches the budget.  An
         atanh argument at the guard raises :func:`atanh_stable`'s error.
 
-        Each ambient model coordinate is carried as a complex number, for the quotient's
-        numerator, and as two floats, from which its denominator is formed as
-        ``metric_core.pseudo_hyperbolic`` forms it.  The map's compiled
+        Each ambient model coordinate is carried as its two floats, from which the quotient
+        is formed as ``metric_core.pseudo_hyperbolic`` forms it: the differences and the two
+        parts of 1 - conj(w) z bound once, then one square root of the quotient of squared
+        moduli, or the two ``hypot``s of ``abs`` where the squared numerator is below
+        ``metric_core._TINY``; ``math.sqrt`` is a parameter default.  The map's compiled
         function and both charts' constants are parameter defaults, so the source depends
         only on the dimension and on the charts' shapes: which are diagonal, which offsets
         are 0 and which diagonal entries of A^-1 are 1, whose terms the pulls leave out,
@@ -159,16 +162,25 @@ class FixedPointProblem:
         # ``pulled`` now names the new ambient model coordinates
         body.append(" except (ZeroDivisionError, OverflowError):\n  return 'inner', x\n"
                     f" {news} = {', '.join(f'{c}.real, {c}.imag' for c in pulled)}\n")
-        for i, (m, n, p) in enumerate(zip(ms, ns, pulled)):
-            # t = max(pseudo_hyperbolic(m_i, p_i) for each i), operation for operation
-            q = (f"abs({m} - {p}) / abs(complex(1.0 - ("
-                 f"{n}r * {m}r + {n}i * {m}i), {n}r * {m}i - {n}i * {m}r))")
-            # like max, keep the first of equal values
-            body.append(f" t = {q}\n" if i == 0 else f" q = {q}\n if q > t:\n  t = q\n")
-        ceiling, atanh, log1p, required, guard = (
+        ceiling, atanh, log1p, sqrt, tiny, required, guard = (
             _const(consts, c)
-            for c in (_ATANH_CEILING, atanh_stable, np.log1p, required_iterations, MAX_ITER_GUARD)
+            for c in (
+                _ATANH_CEILING, atanh_stable, np.log1p, math.sqrt, _TINY, required_iterations,
+                MAX_ITER_GUARD,
+            )
         )
+        for i, (m, n) in enumerate(zip(ms, ns)):
+            # t = max(pseudo_hyperbolic(m_i, n_i) for each i), operation for operation
+            q = "t" if i == 0 else "q"
+            body.append(
+                f" dr, di = {m}r - {n}r, {m}i - {n}i\n"
+                f" er, ei = 1.0 - ({n}r * {m}r + {n}i * {m}i), {n}r * {m}i - {n}i * {m}r\n"
+                f" num = dr * dr + di * di\n if num < {tiny}:\n"
+                f"  {q} = abs(complex(dr, di)) / abs(complex(er, ei))\n"
+                f" else:\n  {q} = {sqrt}(num / (er * er + ei * ei))\n"
+            )
+            if i:  # like max, keep the first of equal values
+                body.append(" if q > t:\n  t = q\n")
         body.append(
             # t is a quotient of moduli, so only NaN or the guard fails; atanh_stable raises
             f" if not t < {ceiling}:\n  {atanh}(t)\n"
@@ -178,7 +190,7 @@ class FixedPointProblem:
             f"  max_iter = {required}(k, step, tol) + {guard} if step > 0.0 else 1\n"
             " if step * factor <= tol:\n  break\n"
             " if len(trace) >= max_iter:\n  return 'budget', x\n"
-            f" x = y\n {', '.join(ms)}, {olds} = {', '.join(pulled)}, {news}\n"
+            f" x = y\n {olds} = {news}\n"
         )
         body[loop:] = [textwrap.indent(line, " ") for line in body[loop:]]
         params = ["x", "m", "k", "factor", "tol", "max_iter", "trace"]

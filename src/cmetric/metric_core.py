@@ -42,6 +42,13 @@ ATANH_GUARD = 1e-15
 
 _ATANH_CEILING = 1.0 - ATANH_GUARD
 
+# The pseudo-hyperbolic quotient is one square root of a quotient of squared moduli,
+# as accurate as a quotient of two libm hypots (a few ulp; Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 3) while the squares are normal doubles.  A
+# square below 2**-1022 loses bits to underflow (up to 2**-1075 each), which at this
+# squared numerator or above is below 2**-107 of it; smaller ones take the hypots.
+_TINY = 2.0**-968
+
 
 def _number(kind: type, abc: type, noun: str):  # the field readers of ``domains`` describe it
     def read(value, what: str, nonfinite=StructuralError):
@@ -114,8 +121,8 @@ def _require_in_disk(z: complex, name: str) -> complex:
 def poincare_distance(z: complex, w: complex) -> float:
     """Poincare distance between two points of the open unit disk.
 
-    Symmetric bit-for-bit under argument swap (the quotient of the two moduli
-    is formed the same way in either order), zero exactly when ``z == w``.
+    Symmetric bit-for-bit under argument swap (the quotient is formed from the
+    same squares in either order), zero exactly when ``z == w``.
     """
     return atanh_stable(pseudo_hyperbolic(_require_in_disk(z, "z"), _require_in_disk(w, "w")))
 
@@ -123,49 +130,75 @@ def poincare_distance(z: complex, w: complex) -> float:
 def pseudo_hyperbolic(z: complex, w: complex) -> float:
     """The quotient |z - w| / |1 - conj(w) z| of two disk points, unchecked.
 
-    Formed as :func:`poincare_distance_many` forms it (``abs`` of a complex is
-    libm ``hypot``, as ``np.hypot`` is), so its atanh is bit-identical there.
+    One square root of the quotient of the squared moduli, formed from real
+    parts as :func:`poincare_distance_many` forms it, so its atanh is
+    bit-identical there.  Where the squared numerator is below ``_TINY`` it is
+    the quotient of the two moduli instead, each libm ``hypot`` (``abs`` of a
+    complex is, as ``np.hypot`` is).
     """
     # conj(w) z from real parts: each product and sum rounds on its own, as in numpy
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
-    return abs(z - w) / abs(complex(1.0 - (wr * zr + wi * zi), wr * zi - wi * zr))
+    dr, di = zr - wr, zi - wi
+    er, ei = 1.0 - (wr * zr + wi * zi), wr * zi - wi * zr
+    num = dr * dr + di * di
+    if num < _TINY:
+        return abs(complex(dr, di)) / abs(complex(er, ei))
+    return math.sqrt(num / (er * er + ei * ei))
 
 
 def poincare_distance_many(z, w) -> np.ndarray:
     """Elementwise Poincare distance over arrays of disk points.
 
     Membership is not re-validated here; callers are expected to feed points
-    strictly inside the disk (as produced by domain sampling).  Uses the same
-    quotient as :func:`pseudo_hyperbolic` and the same single ``np.log1p`` as
-    :func:`atanh_stable`, so scalar and array paths are bit-identical.
+    strictly inside the disk (as produced by domain sampling), and a quotient
+    that is NaN or at the atanh guard raises :class:`DomainError`.  Uses the
+    same quotient as :func:`pseudo_hyperbolic` and the same single ``np.log1p``
+    as :func:`atanh_stable`, so scalar and array paths are bit-identical.
 
-    The modulus quotient is assembled from real components: products commute
-    exactly and hypot ignores signs, so the result is bit-identical under
-    argument swap (numpy's complex multiply is not, due to FMA contraction).
+    The quotient is assembled from real components: products commute exactly
+    and differences at most change sign, which squares and hypot ignore, so the
+    result is bit-identical under argument swap (numpy's complex multiply is
+    not, due to FMA contraction).
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     zr, zi = z.real, z.imag
     wr, wi = w.real, w.imag
+    shape = np.broadcast_shapes(z.shape, w.shape)
     # three buffers, each operation written into one of them
-    den, tmp, cross_im = (np.empty(np.broadcast_shapes(z.shape, w.shape)) for _ in range(3))
-    np.multiply(wr, zr, out=den)  # Re(conj(w) z); symmetric under swap
-    np.multiply(wi, zi, out=tmp)
-    den += tmp
-    np.multiply(wr, zi, out=cross_im)  # Im(conj(w) z); negates exactly under swap
-    np.multiply(wi, zr, out=tmp)
-    cross_im -= tmp
-    np.subtract(1.0, den, out=den)
-    np.hypot(den, cross_im, out=den)
-    t = np.subtract(zr, wr, out=tmp)  # the numerator |z - w|
-    np.subtract(zi, wi, out=cross_im)
-    np.hypot(t, cross_im, out=t)
-    t /= den
-    if np.any(t >= _ATANH_CEILING):
+    den, tmp, t = (np.empty(shape) for _ in range(3))
+    # a point outside the disk may overflow or divide by 0 here: the guard below raises
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.multiply(wr, zr, out=den)  # Re(conj(w) z); symmetric under swap
+        np.multiply(wi, zi, out=tmp)
+        den += tmp
+        np.multiply(wr, zi, out=t)  # Im(conj(w) z); negates exactly under swap
+        np.multiply(wi, zr, out=tmp)
+        t -= tmp
+        np.subtract(1.0, den, out=den)
+        den *= den  # |1 - conj(w) z|^2
+        t *= t
+        den += t
+        np.subtract(zr, wr, out=t)  # |z - w|^2
+        t *= t
+        np.subtract(zi, wi, out=tmp)
+        tmp *= tmp
+        t += tmp
+        small = t < _TINY
+        t /= den
+        np.sqrt(t, out=t)
+        if small.any():  # the hypot form, as pseudo_hyperbolic takes it
+            zs, ws = np.broadcast_to(z, shape)[small], np.broadcast_to(w, shape)[small]
+            t[small] = np.hypot(zs.real - ws.real, zs.imag - ws.imag) / np.hypot(
+                1.0 - (ws.real * zs.real + ws.imag * zs.imag),
+                ws.real * zs.imag - ws.imag * zs.real,
+            )
+    if not np.all(t < _ATANH_CEILING):  # NaN too
         raise DomainError(
-            "a pair of points is too close to the disk boundary for a finite distance"
+            "a pair of points is not finite, outside the disk or too close to its boundary "
+            "for a finite distance"
         )
-    out = np.multiply(2.0, t, out=cross_im)  # 0.5 * log1p(2t / (1 - t))
+    out = np.multiply(2.0, t, out=tmp)  # 0.5 * log1p(2t / (1 - t))
     np.subtract(1.0, t, out=den)
     out /= den
     np.log1p(out, out=out)

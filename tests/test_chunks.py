@@ -147,10 +147,11 @@ CASES = {
     ),
 }
 
-# the chunk boundaries of one-dimensional pairs (CHUNK rows) and of the sampled
-# diameter's two-point rows (CHUNK // 2 rows)
-HALF = CHUNK // 2
-COUNTS = [1, HALF - 1, HALF, HALF + 1, 3 * HALF + 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+# the chunk boundaries of one-dimensional pairs (CHUNK rows), of the sampled diameter's
+# two-point rows (CHUNK // 2 rows) and of those rows in two dimensions (CHUNK // 4 rows)
+HALF, QUARTER = CHUNK // 2, CHUNK // 4
+COUNTS = [1, QUARTER - 1, QUARTER, QUARTER + 1, 3 * QUARTER + 7,
+          HALF - 1, HALF, HALF + 1, 3 * HALF + 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
 
 
 @pytest.mark.parametrize("count", COUNTS)

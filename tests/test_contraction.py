@@ -447,11 +447,11 @@ BIDISK_REPORT_JSON = {
          ["0.066359537332319501", "0.21312782511181319"]],
     ],
     "k_used": "0.93959731543624159",
-    "max_ratio": "0.66920772363561531",
+    "max_ratio": "0.66920772363561509",
 }
 SAMPLED_CERT_JSON = {
-    "M": "1.1972430877736817",
-    "k": "0.83281175866174739",
+    "M": "1.1972430877736822",
+    "k": "0.8328117586617475",
     "method": "sampled",
     "sample_count": 5000,
     "seed": 42,
@@ -481,7 +481,7 @@ def _without(form: dict, name: str) -> dict:
         (ContractionCertificate, _without(SAMPLED_CERT_JSON, "seed")),
         (NestingReport, _without(BIDISK_REPORT_JSON, "max_ratio")),
         (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M="abc")),
-        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M=1.1972430877736817)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M=1.1972430877736822)),
         (ContractionCertificate, _edit(SAMPLED_CERT_JSON, k=None)),
         (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M="nan")),
         (NestingReport, _edit(BIDISK_REPORT_JSON, k_used=["0.5"])),

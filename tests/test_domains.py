@@ -459,6 +459,26 @@ def test_row_maxima_match_numpy_row_by_row():
     assert (disk.contains_many(xs, 0.01) == (proximity < 0.99)).all()
 
 
+def test_bulk_pull_is_bit_identical_to_the_full_formula():
+    # a pull leaves out an offset of 0 and a diagonal A^-1 of 1s, and writes to no input
+    rng = np.random.default_rng(41)
+    base = Polydisk((0.5, 0.8))
+    for domain in (
+        UnitDisk(), ScaledDisk(0.7), AffineDiskImage(0.2 - 0.1j, 0.6), AffineDiskImage(0.3, 1.0),
+        Polydisk((1.0, 0.5, 2.0)), Polydisk((1.0, 1.0)),
+        AffineImage(base, ((1.0, 0.3), (0.2j, 1.0)), (0.1, 0.0)),
+        AffineImage(base, ((2.0, 0.0), (0.0, 1.25)), (0.0, 0.0)),
+    ):
+        chart = domain._affine
+        pts = rng.normal(size=(300, domain.dim)) + 1j * rng.normal(size=(300, domain.dim))
+        pts.setflags(write=False)
+        shifted = pts - chart.offset
+        full = shifted @ chart.inverse.T if len(chart.inverse) > 1 else shifted * chart.inverse
+        assert domain._pull(pts).tobytes() == full.tobytes(), domain
+        if chart.centred and chart.unit:
+            assert domain._pull(pts) is pts
+
+
 def test_domain_constructor_validation():
     with pytest.raises(StructuralError):
         ScaledDisk(1.0)

@@ -451,6 +451,8 @@ def _seeded_problems():
                               start=(complex(-0.0, 0.3), complex(0.2, -0.0)))
     yield dataclasses.replace(_polydisk_problem(1, seed=9), start=(complex(-0.0, -0.0),))
     yield FixedPointProblem(UnitDisk(), ScaledDisk(0.5), Polynomial(((-0j,),)), 0.4 - 0.2j, 1e-11)
+    # steps down to 1e-200: squared, those below about 1e-154 are no normal doubles
+    yield FixedPointProblem(UnitDisk(), ScaledDisk(0.6), ScalarScale(0.5), 0.5, 1e-200)
 
 
 @pytest.mark.parametrize("problem", list(_seeded_problems()))
@@ -692,3 +694,12 @@ def test_solve_steps_equal_bulk_distances_of_the_iterates():
         assert iterates[-1] == result.point
         bulk = ambient.caratheodory_many(iterates[:-1], iterates[1:])
         assert result.trace == tuple(bulk.tolist())
+
+
+def test_steps_whose_squares_underflow_keep_their_digits():
+    # iterates 2**-(n + 1): step n is 2**-(n + 2) exactly once 1 - 2**-(n + 2) rounds to 1,
+    # also where 2**-(2n + 4) is subnormal (n > 509) or 0 in double precision (n > 535)
+    result = solve(FixedPointProblem(UnitDisk(), ScaledDisk(0.6), ScalarScale(0.5), 0.5, 1e-200))
+    assert result.iterations > 600
+    assert result.point == (2.0 ** -(result.iterations + 1),)
+    assert result.trace[60:] == tuple(2.0 ** -(n + 2) for n in range(60, result.iterations))

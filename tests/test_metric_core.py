@@ -334,3 +334,82 @@ def test_scalar_and_array_kernels_are_bit_identical():
     zs, ws = r * np.exp(2j * np.pi * rng.random((2, 5000)))
     scalar = [poincare_distance(z, w) for z, w in zip(zs.tolist(), ws.tolist())]
     assert scalar == poincare_distance_many(zs, ws).tolist()
+
+
+# -- the quotient: one square root, or the hypot form where squares underflow ----------
+
+
+def _disk_points(rng, n):
+    return np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _quotient_pairs() -> dict:
+    """Pairs separated by 1e-150, 1e-160, 1e-170 and 1e-300, whose squared differences
+    are below 2**-968, subnormal or 0, and pairs with one point within 1e-8 or 1e-15 of
+    the rim."""
+    rng, pairs = np.random.default_rng(31), {}
+    for gap in (1e-150, 1e-160, 1e-170, 1e-300):
+        pairs[f"gap {gap:g}"] = _disk_points(rng, 200) * gap, _disk_points(rng, 200) * gap
+    for eps in (1e-8, 1e-15):
+        rim = (1.0 - eps) * np.exp(2j * np.pi * rng.random(200))
+        pairs[f"rim {eps:g}, disk"] = rim, _disk_points(rng, 200)
+        pairs[f"rim {eps:g}, inward"] = rim, rim * (1.0 - 0.5 * rng.random(200))
+    return pairs
+
+
+QUOTIENT_PAIRS = _quotient_pairs()
+
+
+def _hypot_form(z: complex, w: complex) -> float:
+    """The distance with the quotient of two libm hypots: abs of a complex."""
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    return atanh_stable(abs(z - w) / abs(complex(1.0 - (wr * zr + wi * zi), wr * zi - wi * zr)))
+
+
+def _finite_pairs(name: str):
+    """The named pairs with a finite distance in both forms: a pair near the rim may be
+    at the atanh guard, and the two forms may decide it differently there."""
+    zs, ws = QUOTIENT_PAIRS[name]
+    keep = []
+    for i, (z, w) in enumerate(zip(zs.tolist(), ws.tolist())):
+        try:
+            _hypot_form(z, w), poincare_distance(z, w)
+        except DomainError:
+            continue
+        keep.append(i)
+    return zs[keep], ws[keep]
+
+
+@pytest.mark.parametrize("name", QUOTIENT_PAIRS)
+def test_quotient_is_bit_identical_scalar_and_bulk_and_under_swap(name):
+    zs, ws = _finite_pairs(name)
+    assert len(zs) >= 20  # most "rim 1e-15, disk" pairs are at the guard
+    scalar = [poincare_distance(z, w) for z, w in zip(zs.tolist(), ws.tolist())]
+    assert scalar == poincare_distance_many(zs, ws).tolist()
+    assert scalar == poincare_distance_many(ws, zs).tolist()
+    assert scalar == [poincare_distance(w, z) for z, w in zip(zs.tolist(), ws.tolist())]
+
+
+@pytest.mark.parametrize("name", QUOTIENT_PAIRS)
+def test_quotient_is_as_accurate_as_the_hypot_form(name):
+    # Against mpmath at 200 bits, each distance errs by no more than the hypot form's
+    # distance on the same pair plus what 8 ulp of the quotient t can add to it: the
+    # condition of atanh at t, t / ((1 - t^2) atanh t), times 8 * 2**-53.
+    zs, ws = _finite_pairs(name)
+    with mp.workprec(200):
+        for z, w, d in zip(zs.tolist(), ws.tolist(), poincare_distance_many(zs, ws).tolist()):
+            zm, wm = mp.mpc(z), mp.mpc(w)
+            t = abs(zm - wm) / abs(1 - mp.conj(wm) * zm)
+            exact = mp.atanh(t)
+            condition = t / ((1 - t * t) * exact)
+            error, hypot_error = (float(abs(v - exact) / exact) for v in (d, _hypot_form(z, w)))
+            assert error <= hypot_error + 8 * 2.0**-53 * float(condition), (z, w)
+            if name.startswith("gap"):  # squares that are no normal doubles take the hypot form
+                assert d == _hypot_form(z, w)
+
+
+@pytest.mark.parametrize("z, w", [([1.0], [1.0]), ([math.nan], [0.1]), ([0.1], [math.nan])])
+def test_bulk_kernel_rejects_nan_quotients(z, w):
+    # 1 and 1 give 0 / 0: the guard must not let a NaN quotient through as a distance
+    with pytest.raises(DomainError):
+        poincare_distance_many(z, w)
