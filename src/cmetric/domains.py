@@ -71,11 +71,9 @@ PRECOMPACT_MARGIN = 1e-6
 # coordinates.  The ufunc calls on a chunk must outlast handoffs of the
 # interpreter lock for the loops of two chunks (cos and sin in sampling, the
 # distance kernel) to overlap on two threads: at 4096 two threads gained no wall
-# time, at 8192 they do.  With the hypot-free kernel the calls got shorter again:
-# nesting-bulk's three verify_nesting calls took a median 143, 126 and 119 ms
-# each at 8192, 12288 and 16384 (11 alternating in-process rounds, 2-vCPU Xeon).
-# 32768 took 108 against 118 ms at 16384, but it doubles the memory per chunk:
-# the peak RSS of those calls was 38.1 MB at 8192, 40.0 at 16384 and 42.7 at 32768.
+# time, at 8192 they do.  With the hypot-free kernel the calls got shorter again,
+# and 16384 was faster than 8192 and 12288.  32768 was faster still, but it
+# doubles the memory per chunk (README, "Sampled reductions").
 CHUNK = 16384
 
 # Threads that run chunks of one reduction: the usable CPUs (all of them where the
@@ -285,13 +283,20 @@ if hasattr(os, "register_at_fork"):  # where there is fork
     os.register_at_fork(after_in_child=_executor.cache_clear)  # a forked child has no pool threads
 
 
+#: i**q for the quarter-turn counts q = 0..4 of ``_polar``.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j, 1])
+_QUARTER_TURNS.flags.writeable = False
+
+
 def _polar(stream: SampleStream, dim: int, points: int, modulus) -> np.ndarray:
     """Model coordinates of the stream's rows, as a (count, points, dim) array.
 
-    Each row draws, per point, ``dim`` moduli ``modulus(u) * (1 - margin)`` (``modulus``
-    is a ufunc, applied in place) and then ``dim`` uniform angles, so row r starts at
-    double number ``r * points * 2 * dim`` of the seed's sequence.  The bit generator
-    is advanced there: a range of rows is drawn without the rows before it.
+    Each row draws, per point, ``dim`` moduli ``radial = modulus(u) * (1 - margin)``
+    (``modulus`` is a ufunc, applied in place) and then ``dim`` uniform ``v``, so row r
+    starts at double number ``r * points * 2 * dim`` of the seed's sequence.  The bit
+    generator is advanced there: a range of rows is drawn without the rows before it.
+    The point ``radial * exp(2 pi i v)`` is formed in quarter turns, as
+    ``radial * i**q * exp(i phi)`` with ``q = rint(4 v)`` and ``phi = (4 v - q) pi / 2``.
     """
     bits = np.random.PCG64(_hashed_seed(stream.seed))
     bits.advance(stream.start * points * 2 * dim)
@@ -299,13 +304,21 @@ def _polar(stream: SampleStream, dim: int, points: int, modulus) -> np.ndarray:
     radial = draws[:, :, 0, :]
     modulus(radial, out=radial)
     radial *= 1.0 - stream.boundary_margin
-    angle = draws[:, :, 1, :]
-    angle *= 2.0 * np.pi
+    # cos and sin cost less on [-pi/4, pi/4]; 4 v, q and 4 v - q are exact (Sterbenz),
+    # so phi rounds once, and multiplying by i**q only swaps parts and changes signs
+    turns = draws[:, :, 1, :]
+    turns *= 4.0
+    q = np.rint(turns, out=np.empty(turns.shape, np.int8), casting="unsafe")
+    turns -= q
+    turns *= np.pi / 2
     model = np.empty(radial.shape, dtype=complex)
-    np.cos(angle, out=model.real)
+    np.cos(turns, out=model.real)
     model.real *= radial
-    np.sin(angle, out=model.imag)
+    np.sin(turns, out=model.imag)
     model.imag *= radial
+    # i**q goes into the spent draws, not a new array (mode "clip" writes out unbuffered)
+    spent = draws.reshape(model.shape[:-1] + (2 * dim,)).view(complex)
+    model *= np.take(_QUARTER_TURNS, q, out=spent, mode="clip")
     return model
 
 

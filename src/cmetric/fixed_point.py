@@ -20,10 +20,7 @@ coordinates as the step, and applies the stop and budget tests.  The function
 returns at the stopping iterate or at a failed test, which :func:`solve` turns
 into its error.  Its source depends only on the dimension and on the charts'
 shapes, so problems of one shape share its code; a pull leaves out an offset
-of 0 and a diagonal entry 1 of A^-1, so an identity chart costs no pull.  An
-iteration of the benchmark's ``solve-stream`` costs about 3.9 us in a traced
-run, each solve's start and residual checks included, and 2.3 us untraced in
-one process (2-vCPU Xeon, Python 3.11).
+of 0 and a diagonal entry 1 of A^-1, so an identity chart costs no pull.
 """
 
 from __future__ import annotations

@@ -29,8 +29,6 @@ from .errors import DomainError, StructuralError
 
 __all__ = [
     "atanh_stable",
-    "atanh_derivative",
-    "atanh_second_derivative",
     "poincare_distance",
     "poincare_distance_many",
     "convexity_margin",
@@ -85,30 +83,10 @@ def atanh_stable(x: float) -> float:
         raise DomainError(
             f"atanh argument {x!r} is within {ATANH_GUARD:g} of the singularity at 1"
         )
-    # np.log1p: correctly rounded at the rational anchors the closed forms hit
-    # (this platform's libm log1p is an ulp low at e.g. 2.0)
+    # np.log1p, so that poincare_distance_many's log1p gives the same bits; numpy picks
+    # its loop by CPU (log1p(2.0) differs by an ulp with and without AVX-512), so
+    # those bits, and the closed forms' values at rational anchors, hold per machine
     return 0.5 * float(np.log1p(2.0 * x / (1.0 - x)))
-
-
-def atanh_derivative(x: float) -> float:
-    """First derivative of atanh: 1 / (1 - x^2), for x in [0, 1)."""
-    x = _real(x, "atanh derivative argument", DomainError)
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"derivative of atanh evaluated outside [0, 1): {x!r}")
-    return 1.0 / (1.0 - x * x)
-
-
-def atanh_second_derivative(x: float) -> float:
-    """Second derivative of atanh: 2x / (1 - x^2)^2, for x in (0, 1).
-
-    Strictly positive on (0, 1), which is the convexity that drives
-    :func:`convexity_margin`.
-    """
-    x = _real(x, "atanh second derivative argument", DomainError)
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"second derivative of atanh evaluated outside (0, 1): {x!r}")
-    u = 1.0 - x * x
-    return 2.0 * x / (u * u)
 
 
 def _require_in_disk(z: complex, name: str) -> complex:

@@ -18,8 +18,6 @@ from cmetric import (
     ScaledDisk,
     UnitDisk,
     Polynomial,
-    atanh_derivative,
-    atanh_second_derivative,
     atanh_stable,
     convexity_margin,
     diameter,
@@ -31,6 +29,8 @@ from cmetric import (
     verify_nesting,
 )
 from cmetric.cli import main as cli_main
+
+from atanh_derivatives import atanh_derivative, atanh_second_derivative
 
 TWO_ATANH_HALF = 1.0986122886681098  # 2 * atanh(0.5) = ln 3, mpmath oracle
 SWEEP_RADII = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]

@@ -3,9 +3,10 @@
 ``verify_nesting``, the sampled ``diameter``, ``step_contraction_check`` and
 ``image_bound`` walk their streams in row ranges of at most ``CHUNK``
 coordinates, on the calling thread with one worker and on a thread pool with
-two.  The references below are the whole-array formulas the reductions used
-before they were chunked; every result, and every error, must equal them bit
-for bit on both walker paths, at counts on both sides of the chunk boundaries.
+two.  The references below state the reductions' formulas, the sampler's
+angle in quarter turns included, once over whole arrays; every result, and
+every error, must equal them bit for bit on both walker paths, at counts on
+both sides of the chunk boundaries.
 """
 
 import os
@@ -54,12 +55,17 @@ def each_walker(monkeypatch):
 # -- the whole-array references ------------------------------------------------------
 
 
+def quarter_turns(radial, v):
+    """radial·exp(2πiv) as radial·i**q·exp(iφ), q = rint(4v) and φ = (4v − q)·π/2."""
+    q = np.rint(4.0 * v)
+    return radial * np.exp(1j * ((4.0 * v - q) * (np.pi / 2))) * 1j**q
+
+
 def whole_sample(domain, stream):
     rng = np.random.default_rng(stream.seed)
     draws = rng.random((stream.count, 2, domain.dim))
     radial = np.sqrt(draws[:, 0, :]) * (1.0 - stream.boundary_margin)
-    angle = 2.0 * np.pi * draws[:, 1, :]
-    return domain._push(radial * np.exp(1j * angle))
+    return domain._push(quarter_turns(radial, draws[:, 1, :]))
 
 
 def whole_pairs(domain, stream):
@@ -71,8 +77,7 @@ def whole_biased_pairs(domain, stream):
     rng = np.random.default_rng(stream.seed)
     draws = rng.random((stream.count, 2, 2, domain.dim))
     radial = draws[:, :, 0, :] ** (1.0 / BOUNDARY_BIAS) * (1.0 - stream.boundary_margin)
-    angle = 2.0 * np.pi * draws[:, :, 1, :]
-    model = radial * np.exp(1j * angle)
+    model = quarter_turns(radial, draws[:, :, 1, :])
     return domain._push(model[:, 0, :]), domain._push(model[:, 1, :])
 
 

@@ -441,17 +441,17 @@ BIDISK_REPORT_JSON = {
     "pairs_checked": 500,
     "max_violation": "-0.095967626211899415",
     "worst_pair": [
-        [["-0.0039498231085577139", "0.098704958291569736"],
+        [["-0.003949823108557713", "0.098704958291569736"],
          ["0.21329172200111615", "0.30959156873497368"]],
-        [["-0.030290749830391508", "0.1524660162833974"],
+        [["-0.030290749830391525", "0.1524660162833974"],
          ["0.066359537332319501", "0.21312782511181319"]],
     ],
     "k_used": "0.93959731543624159",
-    "max_ratio": "0.66920772363561509",
+    "max_ratio": "0.66920772363561531",
 }
 SAMPLED_CERT_JSON = {
-    "M": "1.1972430877736822",
-    "k": "0.8328117586617475",
+    "M": "1.1972430877736817",
+    "k": "0.83281175866174739",
     "method": "sampled",
     "sample_count": 5000,
     "seed": 42,
@@ -481,7 +481,7 @@ def _without(form: dict, name: str) -> dict:
         (ContractionCertificate, _without(SAMPLED_CERT_JSON, "seed")),
         (NestingReport, _without(BIDISK_REPORT_JSON, "max_ratio")),
         (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M="abc")),
-        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M=1.1972430877736822)),
+        (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M=1.1972430877736817)),
         (ContractionCertificate, _edit(SAMPLED_CERT_JSON, k=None)),
         (ContractionCertificate, _edit(SAMPLED_CERT_JSON, M="nan")),
         (NestingReport, _edit(BIDISK_REPORT_JSON, k_used=["0.5"])),

@@ -16,14 +16,14 @@ from cmetric import (
     DomainError,
     Mobius,
     StructuralError,
-    atanh_derivative,
-    atanh_second_derivative,
     atanh_stable,
     convexity_margin,
     poincare_distance,
     poincare_distance_many,
 )
 from cmetric.metric_core import ATANH_GUARD
+
+from atanh_derivatives import atanh_derivative, atanh_second_derivative
 
 mp.mp.dps = 40
 
