@@ -47,7 +47,7 @@ from .domains import (
 )
 from .errors import BoundednessError, DomainError, HypothesisError, StructuralError
 from .holomaps import HoloMap, _map_between
-from .metric_core import ATANH_GUARD, atanh_stable, pseudo_hyperbolic
+from .metric_core import _ATANH_CEILING, atanh_stable, pseudo_hyperbolic
 
 __all__ = [
     "ContractionCertificate",
@@ -269,7 +269,7 @@ def diameter(
         )
     if stream is None:
         q = _closed_form_tanh_diameter(ambient, inner, precompact_margin)
-        if q >= 1.0 - ATANH_GUARD:
+        if q >= _ATANH_CEILING:
             raise BoundednessError(
                 "contraction constant is indistinguishable from 1 at double precision"
             )

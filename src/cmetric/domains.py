@@ -16,8 +16,11 @@ coordinates the Caratheodory distance is the coordinatewise maximum of
 Poincare distances (the product property of the polydisk); for an invertible
 affine change of variables this is exact because biholomorphisms preserve the
 distance.  Construction stores the chart once, read-only, in numpy for bulk
-calls and in Python complex for scalar calls, which are bit-identical except
-where a full matrix (an affine image) rounds differently in the last bits.
+calls and in Python complex for scalar calls.  A scalar call pulls a point
+through :meth:`Domain._emit` compiled on the domain's first scalar call (charts
+of one shape share code), and ``solve``'s loop emits the same pull.  All pulls
+leave out the same terms, so they are bit-identical, signs of zero included,
+except where a full matrix (an affine image) rounds differently in the last bits.
 Domains are immutable and all operations are pure, so values are thread-safe.
 """
 
@@ -31,16 +34,22 @@ import dataclasses
 import functools
 import numbers
 import os
-import types
-import weakref
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, StructuralError
-from .metric_core import _complex, _real, atanh_stable, poincare_distance_many, pseudo_hyperbolic
+from .metric_core import (
+    _bind,
+    _complex,
+    _const,
+    _function,
+    _real,
+    atanh_stable,
+    poincare_distance_many,
+    pseudo_hyperbolic,
+)
 
 __all__ = [
     "Point",
@@ -97,7 +106,7 @@ def as_point(value: PointLike, dim: int | None = None, *, what: str = "point") -
                 break
         else:
             return value
-    if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+    if isinstance(value, (numbers.Number, np.generic)) and not isinstance(value, (bool, np.bool_)):
         value = (value,)
     elif isinstance(value, (str, bytes)):
         raise StructuralError(f"{what} is not a scalar or coordinate sequence: {value!r}")
@@ -239,15 +248,17 @@ def _map_chunks(part, stream: SampleStream, width: int) -> Iterator:
     stream = _stream(stream, "stream")
     rows = max(1, CHUNK // width)
     end = stream.start + stream.count
-    pool = _WORKERS > 1 and stream.count > rows
+    chunks = (
+        SampleStream(stream.seed, min(rows, end - first), stream.boundary_margin, first)
+        for first in range(stream.start, end, rows)
+    )
+    if _WORKERS == 1 or stream.count <= rows:
+        yield from map(part, chunks)
+        return
     pending = collections.deque()
     try:
-        for first in range(stream.start, end, rows):
-            chunk = SampleStream(stream.seed, min(rows, end - first), stream.boundary_margin, first)
-            if pool:
-                pending.append(_executor().submit(contextvars.copy_context().run, part, chunk))
-            else:
-                pending.append(_Ran(part, chunk))
+        for chunk in chunks:
+            pending.append(_executor().submit(contextvars.copy_context().run, part, chunk))
             if len(pending) > _WORKERS:
                 yield pending.popleft().result()
         while pending:
@@ -256,19 +267,6 @@ def _map_chunks(part, stream: SampleStream, width: int) -> Iterator:
         for future in pending:
             if not future.cancel():
                 future.exception()  # waits; an error of a later chunk is dropped
-
-
-class _Ran:
-    """``part(chunk)`` run on the calling thread, read back as a future is read."""
-
-    def __init__(self, part, chunk):
-        self._value = part(chunk)
-
-    def result(self):
-        return self._value
-
-    def cancel(self) -> bool:
-        return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,7 +296,7 @@ def _polar(stream: SampleStream, dim: int, points: int, modulus) -> np.ndarray:
     The point ``radial * exp(2 pi i v)`` is formed in quarter turns, as
     ``radial * i**q * exp(i phi)`` with ``q = rint(4 v)`` and ``phi = (4 v - q) pi / 2``.
     """
-    bits = np.random.PCG64(_hashed_seed(stream.seed))
+    bits = np.random.PCG64(stream.seed)
     bits.advance(stream.start * points * 2 * dim)
     draws = np.random.Generator(bits).random((stream.count, points, 2, dim))
     radial = draws[:, :, 0, :]
@@ -320,33 +318,6 @@ def _polar(stream: SampleStream, dim: int, points: int, modulus) -> np.ndarray:
     spent = draws.reshape(model.shape[:-1] + (2 * dim,)).view(complex)
     model *= np.take(_QUARTER_TURNS, q, out=spent, mode="clip")
     return model
-
-
-class _HashedSeed(ISeedSequence):
-    """``SeedSequence(seed)`` that hashes each requested state only once.
-
-    Hashing is most of the cost of ``PCG64(seed)`` (about 19 of 20 us on a
-    2-vCPU Xeon).  A stream walked in chunks seeds one generator per chunk,
-    so the hashed words are kept, read-only, for its other chunks.
-    """
-
-    def __init__(self, seed: int):
-        self._sequence = np.random.SeedSequence(seed)
-        self._words: dict = {}
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        key = (n_words, np.dtype(dtype))
-        words = self._words.get(key)
-        if words is None:
-            words = self._sequence.generate_state(n_words, dtype)
-            words.flags.writeable = False
-            self._words[key] = words
-        return words
-
-
-@functools.lru_cache(maxsize=16)
-def _hashed_seed(seed: int) -> _HashedSeed:
-    return _HashedSeed(seed)
 
 
 def _sample_pairs(domain: Domain, chunk: SampleStream) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +354,10 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
 class _Chart(NamedTuple):
     """A domain's chart A·Δⁿ + b: read-only complex arrays b, A and A^-1 (a diagonal one
     as its diagonal row), and in ``point`` b and the rows of A^-1 in Python complex.
-    ``centred`` says that b is 0 and ``unit`` that A^-1 is the diagonal of 1s, the terms
-    a bulk pull leaves out."""
+
+    ``centred`` says that b is 0 and ``unit`` that A^-1 is the diagonal of 1s: every pull,
+    scalar, loop or bulk, leaves those terms out.  That changes no bit of a finite
+    result but the sign of a zero part, alike on all three."""
 
     offset: np.ndarray
     matrix: np.ndarray
@@ -392,68 +365,6 @@ class _Chart(NamedTuple):
     point: tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]
     centred: bool
     unit: bool
-
-
-# -- generated functions ------------------------------------------------------------
-#
-# A formula is stated once, as source: each map node's ``_emit``, a chart's pull
-# (``_emit_pull``) and ``solve``'s iteration loop.  A function compiled from it takes
-# its constants as parameter defaults or arguments, not as text, so values of equal
-# shape share code.
-
-_CODE = weakref.WeakValueDictionary()  # source -> code of the functions that use it
-
-
-def _const(consts: list, value) -> str:
-    consts.append(value)
-    return f"c{len(consts) - 1}"
-
-
-def _bind(body: list[str], expr: str) -> str:
-    """A local holding ``expr``, so that it is evaluated here and once."""
-    if expr.isidentifier():
-        return expr
-    body.append(f" v{len(body)} = {expr}\n")
-    return f"v{len(body) - 1}"
-
-
-def _function(params: list[str], consts: list, body: list[str], result: str):
-    """``def f(params, c0, c1, ...): body; return result`` with ``consts`` as the defaults."""
-    params = ", ".join(params + [f"c{i}" for i in range(len(consts))])
-    source = f"def f({params}):\n{''.join(body)} return {result}\n"
-    if (code := _CODE.get(source)) is None:
-        code = _CODE[source] = compile(source, "<cmetric>", "exec").co_consts[0]
-    return types.FunctionType(code, globals(), "f", tuple(consts))
-
-
-def _emit_pull(
-    ins: list[str], offset: list[str], rows: list[list[str]], body: list[str]
-) -> list[str]:
-    """Source of each model coordinate A^-1 (z - b) of the point named by ``ins``, given
-    the names of b and of the rows of A^-1 (a diagonal chart's one row is its diagonal).
-
-    A diagonal chart scales each shifted coordinate; a full one sums each row of A^-1
-    times the shifted coordinates, bound once, in coordinate order.  ``None`` in place
-    of a name leaves its term out: an entry of b that is 0, or a diagonal entry of A^-1
-    that is 1.  That changes no bit of a finite result but the sign of a zero part.
-    """
-    shifted = [z if b is None else f"({z} - {b})" for z, b in zip(ins, offset)]
-    if len(rows) == 1:
-        return [s if a is None else f"{s} * {a}" for s, a in zip(shifted, rows[0])]
-    shifted = [_bind(body, s) for s in shifted]
-    return [f"sum([{', '.join(f'{a} * {s}' for a, s in zip(row, shifted))}])" for row in rows]
-
-
-@functools.lru_cache(maxsize=None)
-def _pull_function(dim: int, rows: int):
-    """``f(z, b, inverse)``, A^-1 (z - b) for the charts of one shape: ``_Chart.point``
-    gives b and the rows of A^-1 in Python complex."""
-    ins, offset = [f"z{i}" for i in range(dim)], [f"b{i}" for i in range(dim)]
-    names = [[f"a{r}_{i}" for i in range(dim)] for r in range(rows)]
-    unpack = ", ".join("(" + ", ".join(row) + ",)" for row in names)
-    body = [f" {', '.join(ins)}, = z\n {', '.join(offset)}, = b\n {unpack}, = inverse\n"]
-    outs = _emit_pull(ins, offset, names, body)
-    return _function(["z", "b", "inverse"], [], body, f"({', '.join(outs)},)")
 
 
 def _apply(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -510,12 +421,7 @@ class Domain(abc.ABC):
 
     def _pull(self, pts: np.ndarray) -> np.ndarray:
         """Model coordinates A^-1 (z - b) of an (n, dim) array of points, which it does not
-        write to.
-
-        Like ``_emit_pull``, it leaves out an offset of 0 and an A^-1 whose diagonal is all
-        1s, so a unit disk returns ``pts`` itself and a centred diagonal chart makes one
-        product; this changes no bit of a finite result but the sign of a zero part.
-        """
+        write to: a unit disk returns ``pts`` itself (see ``_Chart``)."""
         chart = self._affine
         shifted = pts if chart.centred else pts - chart.offset
         if chart.unit:
@@ -524,8 +430,34 @@ class Domain(abc.ABC):
 
     def _pull_point(self, p: Point) -> tuple[complex, ...]:
         """Model coordinates A^-1 (z - b) of one point, in Python complex arithmetic."""
-        offset, inverse = self._affine.point
-        return _pull_function(len(offset), len(inverse))(p, offset, inverse)
+        return self._pull_fn(*p)
+
+    @functools.cached_property
+    def _pull_fn(self):
+        """:meth:`_emit` compiled on the first scalar pull; charts of one shape share code."""
+        ins, consts, body = [f"z{i}" for i in range(self.dim)], [], []
+        outs = self._emit(ins, consts, body)
+        return _function(ins, consts, body, f"({', '.join(outs)},)")
+
+    def _emit(self, ins: list[str], consts: list, body: list[str]) -> list[str]:
+        """Source of each model coordinate A^-1 (z - b) of the point named by ``ins``, naming
+        the chart's constants by ``_const`` and binding locals by ``_bind``.
+
+        A diagonal chart scales each shifted coordinate; a full one sums each row of A^-1
+        times the shifted coordinates, bound once, in coordinate order.  The terms
+        ``_Chart`` folds are left out.
+        """
+        chart = self._affine
+        offset, inverse = chart.point
+        if not chart.centred:
+            ins = [f"({z} - {_const(consts, b)})" for z, b in zip(ins, offset)]
+        if chart.unit:
+            return ins
+        if len(inverse) == 1:
+            return [f"{z} * {_const(consts, a)}" for z, a in zip(ins, inverse[0])]
+        ins = [_bind(body, z) for z in ins]
+        return [f"sum([{', '.join(f'{_const(consts, a)} * {z}' for a, z in zip(row, ins))}])"
+                for row in inverse]
 
     def _push(self, model: np.ndarray) -> np.ndarray:
         """Points A m + b of an (n, dim) array of model coordinates, which it may overwrite."""

@@ -18,9 +18,10 @@ chart, and tests both memberships.  It records the atanh of the largest
 per-coordinate pseudo-hyperbolic quotient of consecutive ambient model
 coordinates as the step, and applies the stop and budget tests.  The function
 returns at the stopping iterate or at a failed test, which :func:`solve` turns
-into its error.  Its source depends only on the dimension and on the charts'
-shapes, so problems of one shape share its code; a pull leaves out an offset
-of 0 and a diagonal entry 1 of A^-1, so an identity chart costs no pull.
+into its error.  Each pull is emitted by its chart (``Domain._emit``) and each
+quotient by ``metric_core._emit_quotient``, so the source depends only on the
+dimension and on the charts' shapes, problems of one shape share its code, and
+an identity chart costs no pull.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .domains import (
     Point,
     PointLike,
     SampleStream,
-    _bind,
-    _const,
-    _emit_pull,
-    _function,
     _instance,
     _map_chunks,
     _real,
@@ -58,7 +55,15 @@ from .errors import (
     StructuralError,
 )
 from .holomaps import HoloMap, _map_between
-from .metric_core import _ATANH_CEILING, _TINY, atanh_stable
+from .metric_core import (
+    _ATANH_CEILING,
+    _TINY,
+    _bind,
+    _const,
+    _emit_quotient,
+    _function,
+    atanh_stable,
+)
 
 __all__ = [
     "FixedPointProblem",
@@ -123,16 +128,12 @@ class FixedPointProblem:
         inside ``ambient``, and ``"budget"`` when ``len(trace)`` reaches the budget.  An
         atanh argument at the guard raises :func:`atanh_stable`'s error.
 
-        Each ambient model coordinate is carried as its two floats, from which the quotient
-        is formed as ``metric_core.pseudo_hyperbolic`` forms it: the differences and the two
-        parts of 1 - conj(w) z bound once, then one square root of the quotient of squared
-        moduli, or the two ``hypot``s of ``abs`` where the squared numerator is below
-        ``metric_core._TINY``; ``math.sqrt`` is a parameter default.  The map's compiled
-        function and both charts' constants are parameter defaults, so the source depends
-        only on the dimension and on the charts' shapes: which are diagonal, which offsets
-        are 0 and which diagonal entries of A^-1 are 1, whose terms the pulls leave out,
-        so an identity chart costs no pull.  (One cached value, not two: a second one
-        would grow each problem's ``__dict__`` by about 400 bytes.)
+        Each ambient model coordinate is carried as its two floats, the operands of
+        ``metric_core._emit_quotient``; the pulls are the charts' ``Domain._emit``.  The
+        map's compiled function and every constant are parameter defaults, so the source
+        depends only on the dimension and on the charts' shapes (diagonal or full, and the
+        terms ``_Chart`` folds).  (One cached value, not two: a second one would grow each
+        problem's ``__dict__`` by about 400 bytes.)
         """
         k = diameter(self.ambient, self.inner).k
         ys, ms, ns = ([f"{v}{i}" for i in range(self.ambient.dim)] for v in "ymn")
@@ -147,12 +148,7 @@ class FixedPointProblem:
         tests = len(body)
         body.append(f" {', '.join(ys)}, = y = {_const(consts, self.mapping._fn)}(*x)\n")
         for name, domain in (("inner", self.inner), ("ambient", self.ambient)):
-            offset, inverse = domain._affine.point
-            diagonal = len(inverse) == 1
-            offset = [None if b == 0 else _const(consts, b) for b in offset]
-            rows = [[None if diagonal and a == 1 else _const(consts, a) for a in row]
-                    for row in inverse]
-            pulled = [_bind(body, c) for c in _emit_pull(ys, offset, rows, body)]
+            pulled = [_bind(body, c) for c in domain._emit(ys, consts, body)]
             inside = " and ".join(f"abs({c}) < 1.0" for c in pulled)
             body.append(f" if not ({inside}):\n  return {name!r}, x\n")
         body[tests:] = [textwrap.indent(line, " ") for line in body[tests:]]
@@ -166,16 +162,8 @@ class FixedPointProblem:
                 MAX_ITER_GUARD,
             )
         )
-        for i, (m, n) in enumerate(zip(ms, ns)):
-            # t = max(pseudo_hyperbolic(m_i, n_i) for each i), operation for operation
-            q = "t" if i == 0 else "q"
-            body.append(
-                f" dr, di = {m}r - {n}r, {m}i - {n}i\n"
-                f" er, ei = 1.0 - ({n}r * {m}r + {n}i * {m}i), {n}r * {m}i - {n}i * {m}r\n"
-                f" num = dr * dr + di * di\n if num < {tiny}:\n"
-                f"  {q} = abs(complex(dr, di)) / abs(complex(er, ei))\n"
-                f" else:\n  {q} = {sqrt}(num / (er * er + ei * ei))\n"
-            )
+        for i, (m, n) in enumerate(zip(ms, ns)):  # t = max(pseudo_hyperbolic(m_i, n_i))
+            body.append(_emit_quotient(m, n, "t" if i == 0 else "q", tiny, sqrt))
             if i:  # like max, keep the first of equal values
                 body.append(" if q > t:\n  t = q\n")
         body.append(

@@ -31,9 +31,6 @@ from .domains import (
     SampleStream,
     UnitDisk,
     as_point,
-    _bind,
-    _const,
-    _function,
     _instance,
     _many,
     _map_chunks,
@@ -44,7 +41,7 @@ from .domains import (
     _typed,
 )
 from .errors import CapabilityError, DomainError, NumericError, StructuralError
-from .metric_core import poincare_distance
+from .metric_core import _bind, _const, _function, poincare_distance
 
 __all__ = [
     "HoloMap",

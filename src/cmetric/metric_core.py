@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import types
+import weakref
 
 import numpy as np
 
@@ -105,23 +107,69 @@ def poincare_distance(z: complex, w: complex) -> float:
     return atanh_stable(pseudo_hyperbolic(_require_in_disk(z, "z"), _require_in_disk(w, "w")))
 
 
-def pseudo_hyperbolic(z: complex, w: complex) -> float:
-    """The quotient |z - w| / |1 - conj(w) z| of two disk points, unchecked.
+# -- generated functions ------------------------------------------------------------
+#
+# A scalar formula is stated once, as source: the quotient (``_emit_quotient``), a
+# domain's pull (``Domain._emit``), each map node's ``_emit`` and ``solve``'s iteration
+# loop.  A function compiled from it takes its constants as parameter defaults or
+# arguments, not as text, so values of equal shape share code.
 
-    One square root of the quotient of the squared moduli, formed from real
-    parts as :func:`poincare_distance_many` forms it, so its atanh is
-    bit-identical there.  Where the squared numerator is below ``_TINY`` it is
-    the quotient of the two moduli instead, each libm ``hypot`` (``abs`` of a
-    complex is, as ``np.hypot`` is).
+_CODE = weakref.WeakValueDictionary()  # source -> code of the functions that use it
+
+
+def _const(consts: list, value) -> str:
+    consts.append(value)
+    return f"c{len(consts) - 1}"
+
+
+def _bind(body: list[str], expr: str) -> str:
+    """A local holding ``expr``, so that it is evaluated here and once."""
+    if expr.isidentifier():
+        return expr
+    body.append(f" v{len(body)} = {expr}\n")
+    return f"v{len(body) - 1}"
+
+
+def _function(params: list[str], consts: list, body: list[str], result: str):
+    """``def f(params, c0, c1, ...): body; return result`` with ``consts`` as the defaults."""
+    params = ", ".join(params + [f"c{i}" for i in range(len(consts))])
+    source = f"def f({params}):\n{''.join(body)} return {result}\n"
+    if (code := _CODE.get(source)) is None:
+        code = _CODE[source] = compile(source, "<cmetric>", "exec").co_consts[0]
+    return types.FunctionType(code, globals(), "f", tuple(consts))
+
+
+def _emit_quotient(z: str, w: str, out: str, tiny: str, sqrt: str) -> str:
+    """Statements setting ``out`` to the quotient |z - w| / |1 - conj(w) z| of two disk
+    points held as the float locals ``{z}r, {z}i`` and ``{w}r, {w}i``.
+
+    One square root (``sqrt``) of the quotient of the squared moduli, formed from real
+    parts as :func:`poincare_distance_many` forms it, so its atanh is bit-identical
+    there.  Where the squared numerator is below ``tiny`` (``_TINY``) it is the quotient
+    of the two moduli instead, each libm ``hypot`` (``abs`` of a complex is, as
+    ``np.hypot`` is).  Conj(w) z is taken from real parts: each product and sum rounds
+    on its own, as in numpy.
     """
-    # conj(w) z from real parts: each product and sum rounds on its own, as in numpy
-    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
-    dr, di = zr - wr, zi - wi
-    er, ei = 1.0 - (wr * zr + wi * zi), wr * zi - wi * zr
-    num = dr * dr + di * di
-    if num < _TINY:
-        return abs(complex(dr, di)) / abs(complex(er, ei))
-    return math.sqrt(num / (er * er + ei * ei))
+    return (
+        f" dr, di = {z}r - {w}r, {z}i - {w}i\n"
+        f" er, ei = 1.0 - ({w}r * {z}r + {w}i * {z}i), {w}r * {z}i - {w}i * {z}r\n"
+        f" num = dr * dr + di * di\n if num < {tiny}:\n"
+        f"  {out} = abs(complex(dr, di)) / abs(complex(er, ei))\n"
+        f" else:\n  {out} = {sqrt}(num / (er * er + ei * ei))\n"
+    )
+
+
+#: ``pseudo_hyperbolic(z, w)``: the quotient of :func:`_emit_quotient` of two disk
+#: points, unchecked.
+pseudo_hyperbolic = _function(
+    ["z", "w"],
+    [_TINY, math.sqrt],
+    [
+        " zr, zi, wr, wi = z.real, z.imag, w.real, w.imag\n",
+        _emit_quotient("z", "w", "t", "c0", "c1"),
+    ],
+    "t",
+)
 
 
 def poincare_distance_many(z, w) -> np.ndarray:

@@ -278,8 +278,7 @@ def test_the_first_error_in_stream_order_wins_when_a_later_chunk_fails_first(
 
 
 def test_concurrent_callers_share_the_pool_and_the_seed_cache(monkeypatch):
-    # four callers at once on the two-thread pool, with thread switches every microsecond;
-    # streams of one seed share its cached seed words
+    # four callers at once on the two-thread pool, with thread switches every microsecond
     monkeypatch.setattr(domains, "_WORKERS", 2)
     ambient, inner = UnitDisk(), ScaledDisk(0.5)
     streams = [SampleStream(seed=77 + i % 2, count=2 * CHUNK + 3) for i in range(4)]
@@ -289,7 +288,6 @@ def test_concurrent_callers_share_the_pool_and_the_seed_cache(monkeypatch):
     def call(i):
         results[i] = verify_nesting(ambient, inner, None, streams[i]).to_json_dict()
 
-    domains._hashed_seed.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

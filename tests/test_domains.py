@@ -1,6 +1,7 @@
 """Unit tests for domain kinds: membership, sampling, exact distances."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -59,6 +60,24 @@ def test_as_point_accepts_scalars_and_sequences():
     assert as_point(1j) == (1j,)
     assert as_point([0.1, 0.2 + 0.3j]) == (0.1 + 0j, 0.2 + 0.3j)
     assert as_point(np.array([0.1 + 0j, 0.2j])) == (0.1 + 0j, 0.2j)
+
+
+@pytest.mark.parametrize(
+    "value", [np.float32(0.5), np.complex64(0.5j), np.int64(0), np.float16(-0.25)]
+)
+def test_numpy_scalars_are_one_dimensional_points(value):
+    z = complex(value)
+    disk, f = UnitDisk(), Mobius(0.25)
+    assert as_point(value) == (z,)
+    assert disk.contains(value) and ScaledDisk(0.1).contains(value) == (z == 0)
+    assert disk.caratheodory(value, 0.1) == disk.caratheodory(z, 0.1)
+    assert disk.caratheodory(0.1, value) == disk.caratheodory(0.1, z)
+    problem = FixedPointProblem(disk, ScaledDisk(0.5), random_selfmap(disk, 3, 0.5), value, 1e-9)
+    assert problem.start == (z,)
+    assert f.evaluate(value) == f.evaluate(z)
+    for flag in (True, np.True_):
+        with pytest.raises(StructuralError):
+            as_point(flag)
 
 
 def test_as_point_validates_dimension_and_finiteness():
@@ -477,6 +496,28 @@ def test_bulk_pull_is_bit_identical_to_the_full_formula():
         assert domain._pull(pts).tobytes() == full.tobytes(), domain
         if chart.centred and chart.unit:
             assert domain._pull(pts) is pts
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [UnitDisk(), ScaledDisk(0.5), AffineDiskImage(0.25 - 0.5j, 0.5), Polydisk((1.0, 0.5)),
+     AffineImage(UnitDisk(), ((2.0j,),), (0.5,))],
+    ids=["unit", "scaled", "affine-disk", "polydisk", "affine-image-1d"],
+)
+def test_scalar_and_bulk_pulls_agree_on_signed_zeros(domain):
+    # one fold rule for both pulls: a left-out term keeps the sign of a zero part alike
+    parts = [complex(x, y) for x in (0.0, -0.0, 0.25, 0.5) for y in (0.0, -0.0, -0.5)]
+    for p in itertools.product(parts, repeat=domain.dim):
+        bulk = tuple(domain._pull(np.array([p]))[0].tolist())
+        assert repr(domain._pull_point(p)) == repr(bulk), p
+
+
+def test_charts_of_one_shape_share_the_compiled_scalar_pull():
+    small, large = ScaledDisk(0.5), ScaledDisk(0.7)
+    assert "_pull_fn" not in vars(small)  # compiled on the first scalar pull, not at construction
+    assert small._pull_point((0.25 + 0j,)) == (0.5 + 0j,)
+    assert small._pull_fn.__code__ is large._pull_fn.__code__
+    assert small._pull_fn is not large._pull_fn
 
 
 def test_domain_constructor_validation():
