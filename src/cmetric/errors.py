@@ -10,7 +10,6 @@ __all__ = [
     "ParseError",
     "DomainError",
     "StructuralError",
-    "CapabilityError",
     "HypothesisError",
     "BoundednessError",
     "NumericError",
@@ -42,11 +41,6 @@ class DomainError(CmetricError, ValueError):
 class StructuralError(CmetricError, ValueError):
     """Malformed object: dimension mismatch, bad map composition, invalid
     field value in a constructor."""
-
-
-class CapabilityError(CmetricError):
-    """The requested operation is not available for this domain kind
-    (e.g. random self-maps of an affine image)."""
 
 
 class HypothesisError(CmetricError):

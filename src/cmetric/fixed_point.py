@@ -85,7 +85,8 @@ class FixedPointProblem:
 
     ``mapping`` must be a self-map of ``ambient`` whose image lies in
     ``inner``.  That holds by construction for ``random_selfmap(ambient, seed,
-    bias)`` when ``inner`` contains ``bias * ambient``; for any other map it is
+    bias)`` when ``inner`` contains ``bias * ambient``, the ambient chart A·Δⁿ + b
+    scaled about its centre b to A·(bias·Δⁿ) + b; for any other map it is
     the caller's hypothesis, which :func:`solve` checks only at the iterates it
     visits.  ``tolerance`` is the target bound, in ambient-metric units, on the
     distance between the returned point and the true fixed point.

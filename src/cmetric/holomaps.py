@@ -27,10 +27,9 @@ from .domains import (
     Domain,
     Point,
     PointLike,
-    Polydisk,
     SampleStream,
-    UnitDisk,
     as_point,
+    _full,
     _instance,
     _many,
     _map_chunks,
@@ -40,7 +39,7 @@ from .domains import (
     _seed,
     _typed,
 )
-from .errors import CapabilityError, DomainError, NumericError, StructuralError
+from .errors import DomainError, NumericError, StructuralError
 from .metric_core import _bind, _const, _function, poincare_distance
 
 __all__ = [
@@ -397,27 +396,31 @@ def _random_disk_param(rng: np.random.Generator) -> complex:
 def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMap:
     """Deterministic random self-map whose image lies in ``contraction_bias * domain``.
 
-    The construction post-scales a convex-type combination of Mobius and
-    polynomial disk self-maps by ``contraction_bias``, so the containment is
-    guaranteed structurally, not just sampled.  Identical seeds, integers in
-    [0, 2**64) as for :class:`SampleStream`, produce structurally identical maps.
+    On the chart A·Δⁿ + b of ``domain`` the map is z -> A (bias g(A^-1 (z - b))) + b, for
+    ``g`` one random Mobius or polynomial disk self-map per coordinate, so its image lies in
+    A·(bias·Δⁿ) + b, ``domain`` scaled about its chart centre b, by construction, not just
+    by sampling.  Identical seeds, integers in [0, 2**64) as for :class:`SampleStream`,
+    produce structurally identical maps.
     """
     domain = _READERS["Domain"](domain, "domain")
     bias = _real(contraction_bias, "contraction bias", DomainError)
     if not 0.0 < bias < 1.0:
         raise DomainError(f"contraction bias must lie in (0, 1): {contraction_bias!r}")
     rng = np.random.default_rng(_seed(seed))
-    if isinstance(domain, UnitDisk):
-        return Compose(ScalarScale(bias), _random_disk_selfmap(rng))
-    if isinstance(domain, Polydisk):
-        # bias * r_i * f_i(z_i / r_i): a diagonal Affine would multiply by n^2 - n zeros.
-        factors = []
-        for r in domain.radii:
-            f = _random_disk_selfmap(rng)
-            if r != 1.0:  # a unit scaling is exact, so it is left out
-                f = Compose(f, ScalarScale(1.0 / r))
-            factors.append(Compose(ScalarScale(bias * r), f))
-        return DiagonalProduct(tuple(factors))
-    raise CapabilityError(
-        f"random self-maps are generated for unit disks and polydisks, not {type(domain).__name__}"
-    )
+    chart = domain._affine
+    # A centred chart with a diagonal of radii r > 0 folds into each factor as
+    # bias * r * g(z / r): a diagonal Affine would multiply by n^2 - n zeros.
+    radii = chart.matrix[0]
+    folded = (chart.centred and len(chart.matrix) == 1
+              and not radii.imag.any() and min(radii.real) > 0)
+    factors = []
+    for r in radii.real.tolist() if folded else [1.0] * domain.dim:
+        g = _random_disk_selfmap(rng)
+        if r != 1.0:  # a unit scaling is exact, so it is left out
+            g = Compose(g, ScalarScale(1.0 / r))
+        factors.append(Compose(ScalarScale(bias * r), g))
+    product = DiagonalProduct(tuple(factors))
+    if folded:
+        return product
+    pull = Affine(_full(chart.inverse).tolist(), domain._pull(np.zeros((1, domain.dim)))[0])
+    return Compose(Affine(_full(chart.matrix).tolist(), chart.point[0]), Compose(product, pull))

@@ -150,6 +150,13 @@ CASES = {
         Affine(((0.6, 0.0), (0.0, 0.6)), tuple(0.4 * b for b in _B)),
         AffineImage(Polydisk((0.3, 0.3)), _M, _B),
     ),
+    # a seeded self-map of the same chart: Affine nodes conjugate a polydisk map
+    "affine_selfmap": (
+        AffineImage(Polydisk((0.5, 0.5)), _M, _B),
+        AffineImage(Polydisk((0.3, 0.3)), _M, _B),
+        random_selfmap(AffineImage(Polydisk((0.5, 0.5)), _M, _B), 8, 0.6),
+        AffineImage(Polydisk((0.3, 0.3)), _M, _B),
+    ),
 }
 
 # the chunk boundaries of one-dimensional pairs (CHUNK rows), of the sampled diameter's

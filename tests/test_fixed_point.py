@@ -446,6 +446,14 @@ def _seeded_problems():
     yield FixedPointProblem(scaled, ScaledDisk(0.8 * bias),
                             _conjugated(Affine(((0.8,),), (0.0,)), random_selfmap(UnitDisk(), 8, bias)),
                             -0.3j, 1e-11)
+    # random_selfmap conjugated by an off-centre disk chart and a full one
+    disk = AffineDiskImage(centre, radius)
+    yield FixedPointProblem(disk, AffineDiskImage(centre, radius * bias),
+                            random_selfmap(disk, 9, bias), centre - 0.5, 1e-11)
+    matrix, offset = ((0.6, 0.2), (0.1j, 0.5)), (0.1, -0.05j)
+    sheared = AffineImage(Polydisk((1.0, 1.0)), matrix, offset)
+    yield FixedPointProblem(sheared, AffineImage(Polydisk((bias, bias)), matrix, offset),
+                            random_selfmap(sheared, 10, bias), (0.3, 0.1j), 1e-11)
     yield dataclasses.replace(_polydisk_problem(2, seed=9), max_iter=500)
     yield dataclasses.replace(_polydisk_problem(2, seed=9),
                               start=(complex(-0.0, 0.3), complex(0.2, -0.0)))

@@ -11,8 +11,8 @@ import pytest
 
 from cmetric import (
     Affine,
+    AffineDiskImage,
     AffineImage,
-    CapabilityError,
     Compose,
     DiagonalProduct,
     DomainError,
@@ -520,9 +520,51 @@ def test_random_selfmap_on_polydisk_matches_diagonal_affine_form(n):
         assert np.array(f.evaluate(p)).tobytes() == np.array(old.evaluate(p)).tobytes()
 
 
-def test_random_selfmap_rejects_unsupported_domains_and_bias():
-    with pytest.raises(CapabilityError):
-        random_selfmap(ScaledDisk(0.5), seed=1, contraction_bias=0.5)
+def test_random_selfmap_on_the_unit_disk_is_the_one_factor_polydisk_map():
+    bias = 0.7
+    pts = UnitDisk().sample(SampleStream(seed=4, count=500))
+    for seed in range(8):
+        f = random_selfmap(UnitDisk(), seed, bias)
+        assert f == random_selfmap(Polydisk((1.0,)), seed, bias)
+        # the tree without the product, from the same draws
+        old = Compose(ScalarScale(bias), _disk_factor(f.factors[0]))
+        assert f.evaluate_many(pts).tobytes() == old.evaluate_many(pts).tobytes()
+        for row in pts[:100]:
+            p = (complex(row[0]),)
+            assert np.array(f.evaluate(p)).tobytes() == np.array(old.evaluate(p)).tobytes()
+
+
+_M = ((0.6, 0.2), (0.1j, 0.5))
+_C = (0.1, -0.05j)
+
+# domain -> the same domain scaled by 0.6 about its chart centre
+_CHARTS = {
+    "scaled_disk": (ScaledDisk(0.5), AffineDiskImage(0.0, 0.3)),
+    "affine_disk": (AffineDiskImage(0.3 - 0.2j, 1.5), AffineDiskImage(0.3 - 0.2j, 0.9)),
+    "complex_scale": (AffineImage(UnitDisk(), ((0.4 + 0.3j,),), (0.1j,)),
+                      AffineImage(Polydisk((0.6,)), ((0.4 + 0.3j,),), (0.1j,))),
+    # centred, diagonal and real, but not positive: no ScalarScale fold
+    "negative_scale": (AffineImage(UnitDisk(), ((-0.7,),), (0.0,)),
+                       AffineImage(Polydisk((0.6,)), ((-0.7,),), (0.0,))),
+    "sheared": (AffineImage(Polydisk((1.0, 1.0)), _M, _C), AffineImage(Polydisk((0.6, 0.6)), _M, _C)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHARTS))
+def test_random_selfmap_on_every_chart(kind):
+    domain, scaled = _CHARTS[kind]
+    pts = domain.sample(SampleStream(seed=11, count=3000))
+    for seed in range(4):
+        f = random_selfmap(domain, seed, 0.6)
+        assert f == random_selfmap(domain, seed, 0.6) != random_selfmap(domain, seed + 1, 0.6)
+        assert (f.in_dim, f.out_dim) == (domain.dim, domain.dim)
+        assert scaled.contains_many(f.evaluate_many(pts)).all()
+        problem = FixedPointProblem(domain, scaled, f, domain.sample(SampleStream(seed, 1))[0], 1e-10)
+        x = solve(problem).point
+        assert domain.caratheodory(x, f.evaluate(x)) <= problem.tolerance
+
+
+def test_random_selfmap_rejects_bias_outside_the_unit_interval():
     with pytest.raises(DomainError):
         random_selfmap(UnitDisk(), seed=1, contraction_bias=1.0)
     with pytest.raises(DomainError):

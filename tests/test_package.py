@@ -1,5 +1,8 @@
-"""Package-level tests: the export rule and the README's examples."""
+"""Package-level tests: the export rule, the one home of the domain kinds and the
+README's examples."""
 
+import ast
+import inspect
 import pathlib
 import re
 import shlex
@@ -23,6 +26,28 @@ def test_the_package_exports_each_module_list_once():
     star = {}
     exec("from cmetric import *", star)
     assert set(star) - {"__builtins__"} == set(cmetric.__all__)
+
+
+def test_only_domains_and_the_cli_name_a_domain_kind():
+    # every other module works on the chart A·Δⁿ + b alone, never on a domain's class
+    kinds = {
+        name for name, obj in vars(domains).items()
+        if inspect.isclass(obj) and issubclass(obj, domains.Domain) and not inspect.isabstract(obj)
+    }
+    assert kinds == {"UnitDisk", "ScaledDisk", "AffineDiskImage", "Polydisk", "AffineImage"}
+    source = pathlib.Path(domains.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        if path.name in ("domains.py", "cli.py"):
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update({node.name, node.asname})
+        assert not named & kinds, f"{path.name} names {sorted(named & kinds)}"
 
 
 def _block(text, lang, after):
