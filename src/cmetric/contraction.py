@@ -47,7 +47,7 @@ from .domains import (
 )
 from .errors import BoundednessError, DomainError, HypothesisError, StructuralError
 from .holomaps import HoloMap, _map_between
-from .metric_core import _ATANH_CEILING, atanh_stable, pseudo_hyperbolic
+from .metric_core import _ATANH_CEILING, _inside, atanh_stable, pseudo_hyperbolic
 
 __all__ = [
     "ContractionCertificate",
@@ -320,10 +320,8 @@ def witness_lower_bound(f: HoloMap, x: PointLike, y: PointLike, k: float) -> flo
     fx = f.evaluate(as_point(x, f.in_dim, what="x"))[0]
     fy = f.evaluate(as_point(y, f.in_dim, what="y"))[0]
     for name, img in (("x", fx), ("y", fy)):
-        if abs(img) >= 1.0:
-            raise HypothesisError(
-                f"witness map leaves the unit disk at {name}: |f({name})| = {abs(img)!r}"
-            )
+        if not _inside((img,), 1.0):
+            raise HypothesisError(f"witness map leaves the unit disk: f({name}) = {img!r}")
     t = pseudo_hyperbolic(fy, fx)
     if t > k:
         raise HypothesisError(

@@ -15,12 +15,12 @@ reproducible sampling, boundary proximity and the distance itself.  In model
 coordinates the Caratheodory distance is the coordinatewise maximum of
 Poincare distances (the product property of the polydisk); for an invertible
 affine change of variables this is exact because biholomorphisms preserve the
-distance.  Construction stores the chart once, read-only, in numpy for bulk
-calls and in Python complex for scalar calls.  A scalar call pulls a point
-through :meth:`Domain._emit` compiled on the domain's first scalar call (charts
-of one shape share code), and ``solve``'s loop emits the same pull.  All pulls
-leave out the same terms, so they are bit-identical, signs of zero included,
-except where a full matrix (an affine image) rounds differently in the last bits.
+distance.  Construction stores the chart once, read-only, in numpy.  A scalar
+call pulls a point through :meth:`Domain._emit` compiled on the domain's first
+scalar call (charts of one shape share code), and ``solve``'s loop emits the
+same pull.  All pulls leave out the same terms, so they are bit-identical, signs
+of zero included, except where a full matrix (an affine image) rounds
+differently in the last bits.
 Domains are immutable and all operations are pure, so values are thread-safe.
 """
 
@@ -45,6 +45,7 @@ from .metric_core import (
     _complex,
     _const,
     _function,
+    _inside,
     _real,
     atanh_stable,
     poincare_distance_many,
@@ -353,7 +354,7 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
 
 class _Chart(NamedTuple):
     """A domain's chart A·Δⁿ + b: read-only complex arrays b, A and A^-1 (a diagonal one
-    as its diagonal row), and in ``point`` b and the rows of A^-1 in Python complex.
+    as its diagonal row).
 
     ``centred`` says that b is 0 and ``unit`` that A^-1 is the diagonal of 1s: every pull,
     scalar, loop or bulk, leaves those terms out.  That changes no bit of a finite
@@ -362,7 +363,6 @@ class _Chart(NamedTuple):
     offset: np.ndarray
     matrix: np.ndarray
     inverse: np.ndarray
-    point: tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]
     centred: bool
     unit: bool
 
@@ -401,11 +401,8 @@ class Domain(abc.ABC):
             raise StructuralError(f"{self!r} has an uninvertible chart")
         for arr in (offset, matrix, inverse):
             arr.setflags(write=False)  # ``_apply`` scales into the ``out`` it is given
-        point = (tuple(offset.tolist()), tuple(map(tuple, inverse.tolist())))
-        centred, unit = not any(point[0]), len(inverse) == 1 and all(a == 1 for a in point[1][0])
-        object.__setattr__(
-            self, "_affine", _Chart(offset, matrix, inverse, point, centred, unit)
-        )
+        centred, unit = not offset.any(), bool((inverse == 1).all())
+        object.__setattr__(self, "_affine", _Chart(offset, matrix, inverse, centred, unit))
         object.__setattr__(self, "dim", len(offset))
 
     def _check(self) -> None:
@@ -448,11 +445,11 @@ class Domain(abc.ABC):
         ``_Chart`` folds are left out.
         """
         chart = self._affine
-        offset, inverse = chart.point
         if not chart.centred:
-            ins = [f"({z} - {_const(consts, b)})" for z, b in zip(ins, offset)]
+            ins = [f"({z} - {_const(consts, b)})" for z, b in zip(ins, chart.offset.tolist())]
         if chart.unit:
             return ins
+        inverse = chart.inverse.tolist()
         if len(inverse) == 1:
             return [f"{z} * {_const(consts, a)}" for z, a in zip(ins, inverse[0])]
         ins = [_bind(body, z) for z in ins]
@@ -478,8 +475,7 @@ class Domain(abc.ABC):
         The proximity proxy is the max modulus of the model coordinates; the
         test is ``max_i |m_i| < 1 - margin`` (strict: domains are open).
         """
-        model, limit = self._pull_point(as_point(p, self.dim)), 1.0 - _margin(margin)
-        return _inside(model, limit)
+        return _inside(self._pull_point(as_point(p, self.dim)), 1.0 - _margin(margin))
 
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
         """Vectorized :meth:`contains`, with the same answer for each point."""
@@ -582,25 +578,14 @@ def _margin(margin: float, what: str = "membership margin") -> float:
     return margin
 
 
-def _inside(model: Sequence[complex], limit: float) -> bool:
-    """True iff every model modulus is below ``limit``; a NaN coordinate is outside, and
-    so is one whose modulus overflows."""
-    try:
-        for m in model:
-            if not abs(m) < limit:
-                return False
-    except OverflowError:  # abs of a finite complex beyond the float range
-        return False
-    return True
-
-
 # np.abs of a complex array can be 2 ulp from the libm hypot that ``abs`` and np.hypot
 # use; a modulus within this relative band of a limit is decided again with np.hypot.
 _HYPOT_BAND = 1e-12
 
 
 def _below(moduli: np.ndarray, model: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:
-    """``moduli < limit`` as :func:`_inside` decides it, and whether it holds throughout.
+    """``moduli < limit`` as ``metric_core._inside`` decides it, and whether it holds
+    throughout.
 
     ``moduli`` is np.abs of the model coordinates ``model``, elementwise or as row maxima.
     A modulus well below the limit decides at once; only those within ``_HYPOT_BAND`` of

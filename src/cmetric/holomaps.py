@@ -40,7 +40,7 @@ from .domains import (
     _typed,
 )
 from .errors import DomainError, NumericError, StructuralError
-from .metric_core import _bind, _const, _function, poincare_distance
+from .metric_core import _bind, _const, _function, _inside, poincare_distance
 
 __all__ = [
     "HoloMap",
@@ -179,7 +179,7 @@ class Mobius(HoloMap):
     _nonfinite = DomainError  # a non-finite parameter is outside the disk too
 
     def _check(self):
-        if not abs(self.a) < 1.0:
+        if not _inside((self.a,), 1.0):
             raise DomainError(f"Mobius parameter must lie strictly inside the unit disk: {self.a!r}")
 
     def _dims(self):
@@ -334,18 +334,11 @@ def schwarz_pick_gap(f: HoloMap, z: complex, w: complex) -> float:
     """omega(z, w) - omega(f(z), f(w)) for a holomorphic self-map of the disk.
 
     Nonnegative up to rounding: holomorphic maps never increase the Poincare
-    distance, with equality exactly for disk automorphisms.
+    distance, with equality exactly for disk automorphisms.  A point or image outside
+    the disk raises :class:`DomainError`.
     """
     f = _map_between(f, 1, 1, "f")
-    base = poincare_distance(z, w)
-    fz = f.evaluate((z,))[0]
-    fw = f.evaluate((w,))[0]
-    for name, img in (("z", fz), ("w", fw)):
-        if abs(img) >= 1.0:
-            raise DomainError(
-                f"image escapes the closed unit disk at {name}: |f({name})| = {abs(img)!r}"
-            )
-    return base - poincare_distance(fz, fw)
+    return poincare_distance(z, w) - poincare_distance(f.evaluate((z,))[0], f.evaluate((w,))[0])
 
 
 def image_bound(
@@ -423,4 +416,5 @@ def random_selfmap(domain: Domain, seed: int, contraction_bias: float) -> HoloMa
     if folded:
         return product
     pull = Affine(_full(chart.inverse).tolist(), domain._pull(np.zeros((1, domain.dim)))[0])
-    return Compose(Affine(_full(chart.matrix).tolist(), chart.point[0]), Compose(product, pull))
+    push = Affine(_full(chart.matrix).tolist(), chart.offset.tolist())
+    return Compose(push, Compose(product, pull))

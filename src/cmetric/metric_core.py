@@ -32,7 +32,6 @@ from .errors import DomainError, StructuralError
 __all__ = [
     "atanh_stable",
     "poincare_distance",
-    "poincare_distance_many",
     "convexity_margin",
 ]
 
@@ -91,9 +90,21 @@ def atanh_stable(x: float) -> float:
     return 0.5 * float(np.log1p(2.0 * x / (1.0 - x)))
 
 
+def _inside(model: tuple[complex, ...], limit: float) -> bool:
+    """True iff every model modulus, libm's ``abs``, is below ``limit``; a NaN coordinate
+    is outside, and so is one whose modulus overflows.  The one scalar membership test."""
+    try:
+        for m in model:
+            if not abs(m) < limit:
+                return False
+    except OverflowError:  # abs of a finite complex beyond the float range
+        return False
+    return True
+
+
 def _require_in_disk(z: complex, name: str) -> complex:
     z = _complex(z, name, DomainError)
-    if abs(z) >= 1.0:
+    if not _inside((z,), 1.0):
         raise DomainError(f"{name}={z!r} is not strictly inside the unit disk")
     return z
 
@@ -172,27 +183,23 @@ pseudo_hyperbolic = _function(
 )
 
 
-def poincare_distance_many(z, w) -> np.ndarray:
-    """Elementwise Poincare distance over arrays of disk points.
+def poincare_distance_many(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Elementwise Poincare distance of two complex arrays of one shape, unchecked: the
+    kernel of :meth:`~cmetric.domains.Domain.caratheodory_many`, which checks the points.
 
-    Membership is not re-validated here; callers are expected to feed points
-    strictly inside the disk (as produced by domain sampling), and a quotient
-    that is NaN or at the atanh guard raises :class:`DomainError`.  Uses the
-    same quotient as :func:`pseudo_hyperbolic` and the same single ``np.log1p``
-    as :func:`atanh_stable`, so scalar and array paths are bit-identical.
+    A quotient that is NaN or at the atanh guard raises :class:`DomainError`.  Uses the
+    same quotient as :func:`pseudo_hyperbolic` and the same single ``np.log1p`` as
+    :func:`atanh_stable`, so scalar and array paths are bit-identical.
 
     The quotient is assembled from real components: products commute exactly
     and differences at most change sign, which squares and hypot ignore, so the
     result is bit-identical under argument swap (numpy's complex multiply is
     not, due to FMA contraction).
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
     zr, zi = z.real, z.imag
     wr, wi = w.real, w.imag
-    shape = np.broadcast_shapes(z.shape, w.shape)
     # three buffers, each operation written into one of them
-    den, tmp, t = (np.empty(shape) for _ in range(3))
+    den, tmp, t = (np.empty(z.shape) for _ in range(3))
     # a point outside the disk may overflow or divide by 0 here: the guard below raises
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(wr, zr, out=den)  # Re(conj(w) z); symmetric under swap
@@ -214,7 +221,7 @@ def poincare_distance_many(z, w) -> np.ndarray:
         t /= den
         np.sqrt(t, out=t)
         if small.any():  # the hypot form, as pseudo_hyperbolic takes it
-            zs, ws = np.broadcast_to(z, shape)[small], np.broadcast_to(w, shape)[small]
+            zs, ws = z[small], w[small]
             t[small] = np.hypot(zs.real - ws.real, zs.imag - ws.imag) / np.hypot(
                 1.0 - (ws.real * zs.real + ws.imag * zs.imag),
                 ws.real * zs.imag - ws.imag * zs.real,
@@ -229,7 +236,7 @@ def poincare_distance_many(z, w) -> np.ndarray:
     out /= den
     np.log1p(out, out=out)
     out *= 0.5
-    return out if out.ndim else out[()]
+    return out
 
 
 def convexity_margin(r: float, x: float) -> float:

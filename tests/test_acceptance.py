@@ -21,7 +21,6 @@ from cmetric import (
     atanh_stable,
     convexity_margin,
     diameter,
-    poincare_distance_many,
     random_selfmap,
     required_iterations,
     solve,
@@ -29,6 +28,7 @@ from cmetric import (
     verify_nesting,
 )
 from cmetric.cli import main as cli_main
+from cmetric.metric_core import poincare_distance_many
 
 from atanh_derivatives import atanh_derivative, atanh_second_derivative
 

@@ -348,6 +348,13 @@ def test_invalid_domain_spec_is_a_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("a", [[2.0, 0.0], [1.3e308, 1.3e308]], ids=["outside", "overflowing"])
+def test_mobius_parameter_outside_the_disk_is_a_parse_error(a, tmp_path, capsys):
+    spec = {**SOLVE_SPEC, "map": {"kind": "mobius", "a": a}}
+    code, out = _run(capsys, ["solve", "--input", _write(tmp_path / "s.json", spec)])
+    assert code == 2 and out == ""
+
+
 def test_unknown_kind_is_a_parse_error(tmp_path, capsys):
     spec = {"domain": {"kind": "euclidean_ball", "radius": 1.0}, "x": 0, "y": 0.1}
     code, _ = _run(capsys, ["distance", "--input", _write(tmp_path / "d.json", spec)])

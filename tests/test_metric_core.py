@@ -12,16 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cmetric
 from cmetric import (
     DomainError,
     Mobius,
     StructuralError,
+    UnitDisk,
     atanh_stable,
     convexity_margin,
     poincare_distance,
-    poincare_distance_many,
 )
-from cmetric.metric_core import ATANH_GUARD
+from cmetric.metric_core import ATANH_GUARD, poincare_distance_many
 
 from atanh_derivatives import atanh_derivative, atanh_second_derivative
 
@@ -155,7 +156,7 @@ def test_the_kernel_ceiling_keeps_every_distance_below_tanh_one():
     assert math.tanh(atanh_stable(math.nextafter(1.0 - ATANH_GUARD, 0.0))) < 1.0
     r = math.nextafter(1.0, 0.0)
     with pytest.raises(DomainError):
-        poincare_distance_many([r], [-r])
+        poincare_distance_many(np.array([r], complex), np.array([-r], complex))
 
 
 def test_many_matches_scalar_to_rounding():
@@ -412,4 +413,27 @@ def test_quotient_is_as_accurate_as_the_hypot_form(name):
 def test_bulk_kernel_rejects_nan_quotients(z, w):
     # 1 and 1 give 0 / 0: the guard must not let a NaN quotient through as a distance
     with pytest.raises(DomainError):
-        poincare_distance_many(z, w)
+        poincare_distance_many(np.array(z, complex), np.array(w, complex))
+
+
+# -- the kernel is internal: the checked bulk distance is Domain.caratheodory_many ----------
+
+
+def test_the_kernel_is_not_exported():
+    assert "poincare_distance_many" not in cmetric.__all__
+    assert cmetric.domains.poincare_distance_many is poincare_distance_many
+
+
+@pytest.mark.parametrize("xs, ys", [([2.0], [3.0]), ([1.5j], [-2.0])])
+def test_the_checked_bulk_distance_names_a_point_outside(xs, ys):
+    with pytest.raises(DomainError, match=r"xs\[0\]"):
+        UnitDisk().caratheodory_many(xs, ys)
+
+
+def test_the_checked_bulk_distance_is_the_kernel_inside_the_disk():
+    # the unit chart folds away: no pull, one column, its row maximum the column itself
+    rng = np.random.default_rng(37)
+    r = np.sqrt(rng.random((2, 10_000))) * (1.0 - 1e-6)
+    zs, ws = r * np.exp(2j * np.pi * rng.random((2, 10_000)))
+    checked = UnitDisk().caratheodory_many(zs, ws)
+    assert checked.tobytes() == poincare_distance_many(zs, ws).tobytes()

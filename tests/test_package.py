@@ -1,5 +1,5 @@
-"""Package-level tests: the export rule, the one home of the domain kinds and the
-README's examples."""
+"""Package-level tests: the export rule, the one home of the domain kinds and of the
+membership test, and the README's examples."""
 
 import ast
 import inspect
@@ -48,6 +48,27 @@ def test_only_domains_and_the_cli_name_a_domain_kind():
             elif isinstance(node, ast.alias):
                 named.update({node.name, node.asname})
         assert not named & kinds, f"{path.name} names {sorted(named & kinds)}"
+
+
+def test_only_metric_core_compares_a_modulus_with_one():
+    # membership in the disk is ``metric_core._inside``, which also counts an overflowing
+    # modulus as outside; a new ``abs(m) < 1.0`` would state it again without that case
+    def is_abs(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "abs"
+
+    def is_one(node):
+        return isinstance(node, ast.Constant) and node.value == 1.0
+
+    source = pathlib.Path(metric_core.__file__).parent
+    found = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "metric_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if any(map(is_abs, operands)) and any(map(is_one, operands)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def _block(text, lang, after):
