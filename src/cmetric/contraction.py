@@ -168,11 +168,14 @@ class NestingReport(_JsonForm):
 
 
 def contraction_constant(M: float) -> float:
-    """tanh of a finite nonnegative diameter; lies in [0, 1), zero iff M = 0."""
+    """tanh of a finite nonnegative diameter; lies in [0, 1), zero iff M = 0.  Raises
+    :class:`BoundednessError` where tanh(M) rounds to 1 (M above about 19.06)."""
     M = _real(M, "diameter", DomainError)
     if not M >= 0.0:
         raise DomainError(f"diameter must be finite and >= 0: {M!r}")
-    return math.tanh(M)
+    if (k := math.tanh(M)) == 1.0:
+        raise BoundednessError(f"contraction constant tanh({M!r}) is indistinguishable from 1")
+    return k
 
 
 # -- closed-form diameters ---------------------------------------------------

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .metric_core import (
+    _below,
     _bind,
     _complex,
     _const,
@@ -338,10 +339,8 @@ def _points_array(pts, dim: int, what: str) -> np.ndarray:
             arr = np.asarray(pts)
         except (TypeError, ValueError) as exc:
             raise StructuralError(f"{what}: not an array of numeric points: {exc}") from None
-        if arr.dtype.kind == "O":  # Python numbers numpy has no dtype for, text, ...
+        if arr.dtype.kind not in "iufc":  # bools, text, objects: read as ``as_point`` reads
             arr = np.array([_complex(v, what, DomainError) for v in arr.flat]).reshape(arr.shape)
-        elif arr.dtype.kind not in "biufc":
-            raise StructuralError(f"{what}: {arr.dtype} entries are not numbers")
         arr = arr.astype(complex, copy=False)
     if arr.ndim == 1:
         arr = arr[:, None] if dim == 1 else arr[None, :]
@@ -480,12 +479,14 @@ class Domain(abc.ABC):
     def contains_many(self, pts, margin: float = 0.0) -> np.ndarray:
         """Vectorized :meth:`contains`, with the same answer for each point."""
         model = self._pull(_points_array(pts, self.dim, "points"))
-        return _below(_row_max(np.abs(model)), model, 1.0 - _margin(margin))[0]
+        limit = 1.0 - _margin(margin)
+        return _row_max(_below(model, limit)[0]) < limit
 
     def boundary_proximity_many(self, pts) -> np.ndarray:
-        """0 at the center, approaching 1 at the boundary, >= 1 outside."""
+        """Max model modulus: 0 at the center, approaching 1 at the boundary, and >= 1
+        exactly where :meth:`contains` says outside."""
         arr = _points_array(pts, self.dim, "points")
-        return _row_max(np.abs(self._pull(arr)))
+        return _row_max(_below(self._pull(arr), 1.0)[0])
 
     # -- sampling ------------------------------------------------------------
 
@@ -543,9 +544,8 @@ class Domain(abc.ABC):
         models = []
         for arr, what in zip((xa, ya), names):
             model = self._pull(arr)
-            inside, every = _below(np.abs(model), model, 1.0 - margin)
-            if not every:
-                i = int(np.argmin(inside.all(axis=1)))
+            if not _below(model, 1.0 - margin)[1]:
+                i = int(np.argmin(self.contains_many(arr, margin)))
                 raise DomainError(
                     f"{what}[{first_row + i}] = {tuple(arr[i].tolist())!r} is not inside {self!r}"
                 )
@@ -576,28 +576,6 @@ def _margin(margin: float, what: str = "membership margin") -> float:
     if margin < 0.0:
         raise DomainError(f"{what} must be >= 0: {margin!r}")
     return margin
-
-
-# np.abs of a complex array can be 2 ulp from the libm hypot that ``abs`` and np.hypot
-# use; a modulus within this relative band of a limit is decided again with np.hypot.
-_HYPOT_BAND = 1e-12
-
-
-def _below(moduli: np.ndarray, model: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:
-    """``moduli < limit`` as ``metric_core._inside`` decides it, and whether it holds
-    throughout.
-
-    ``moduli`` is np.abs of the model coordinates ``model``, elementwise or as row maxima.
-    A modulus well below the limit decides at once; only those within ``_HYPOT_BAND`` of
-    it are computed again, and only when some modulus is not well below.
-    """
-    inside = moduli < limit * (1.0 - _HYPOT_BAND)
-    if inside.all():
-        return inside, True
-    near = np.nonzero(~inside & (moduli < limit * (1.0 + _HYPOT_BAND)))
-    exact = np.hypot(model[near].real, model[near].imag)
-    inside[near] = (_row_max(exact) if exact.ndim == 2 else exact) < limit
-    return inside, bool(inside.all())
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,9 @@ within ``k^n * d0 / (1 - k)`` after n steps from the start (a priori).
 A certificate is derived from the problem's own nesting, or checked against
 it: it must not undercut that nesting's closed-form k.  Distances are measured
 in the ambient metric, which is the metric the contraction statement lives in.
-The whole loop is one function, compiled for the problem on its first solve.
-Each iteration runs the map's compiled function, pulls the image once through
-the inner chart, for the containment hypothesis, and once through the ambient
-chart, and tests both memberships.  It records the atanh of the largest
-per-coordinate pseudo-hyperbolic quotient of consecutive ambient model
-coordinates as the step, and applies the stop and budget tests.  The function
-returns at the stopping iterate or at a failed test, which :func:`solve` turns
-into its error.  Each pull is emitted by its chart (``Domain._emit``) and each
-quotient by ``metric_core._emit_quotient``, so the source depends only on the
-dimension and on the charts' shapes, problems of one shape share its code, and
-an identity chart costs no pull.
+The whole loop is one function, compiled for the problem on its first solve
+from the charts' pulls (``Domain._emit``) and ``metric_core``'s membership test
+and step, so problems of one shape share its code.
 """
 
 from __future__ import annotations
@@ -55,15 +47,7 @@ from .errors import (
     StructuralError,
 )
 from .holomaps import HoloMap, _map_between
-from .metric_core import (
-    _ATANH_CEILING,
-    _TINY,
-    _bind,
-    _const,
-    _emit_quotient,
-    _function,
-    atanh_stable,
-)
+from .metric_core import _bind, _const, _emit_inside, _emit_step, _function
 
 __all__ = [
     "FixedPointProblem",
@@ -126,15 +110,12 @@ class FixedPointProblem:
         test and the iterate ``x`` whose image failed it: ``"inner"`` when the map fails at
         ``x``, a test overflows, or ``f(x)`` is not inside ``inner`` (a non-finite image
         never is, since its pull is non-finite too), ``"ambient"`` when ``f(x)`` is not
-        inside ``ambient``, and ``"budget"`` when ``len(trace)`` reaches the budget.  An
-        atanh argument at the guard raises :func:`atanh_stable`'s error.
+        inside ``ambient``, and ``"budget"`` when ``len(trace)`` reaches the budget.
 
-        Each ambient model coordinate is carried as its two floats, the operands of
-        ``metric_core._emit_quotient``; the pulls are the charts' ``Domain._emit``.  The
-        map's compiled function and every constant are parameter defaults, so the source
-        depends only on the dimension and on the charts' shapes (diagonal or full, and the
-        terms ``_Chart`` folds).  (One cached value, not two: a second one would grow each
-        problem's ``__dict__`` by about 400 bytes.)
+        Ambient model coordinates are carried as float pairs, the operands of
+        ``metric_core._emit_step``; the map's compiled function and every constant are
+        parameter defaults, so the source depends only on the dimension and the charts'
+        shapes.  (One cached value, not two: a second would add ~400 bytes per problem.)
         """
         k = diameter(self.ambient, self.inner).k
         ys, ms, ns = ([f"{v}{i}" for i in range(self.ambient.dim)] for v in "ymn")
@@ -150,27 +131,15 @@ class FixedPointProblem:
         body.append(f" {', '.join(ys)}, = y = {_const(consts, self.mapping._fn)}(*x)\n")
         for name, domain in (("inner", self.inner), ("ambient", self.ambient)):
             pulled = [_bind(body, c) for c in domain._emit(ys, consts, body)]
-            inside = " and ".join(f"abs({c}) < 1.0" for c in pulled)
-            body.append(f" if not ({inside}):\n  return {name!r}, x\n")
+            body.append(f" if not ({_emit_inside(pulled)}):\n  return {name!r}, x\n")
         body[tests:] = [textwrap.indent(line, " ") for line in body[tests:]]
         # ``pulled`` now names the new ambient model coordinates
         body.append(" except (ZeroDivisionError, OverflowError):\n  return 'inner', x\n"
                     f" {news} = {', '.join(f'{c}.real, {c}.imag' for c in pulled)}\n")
-        ceiling, atanh, log1p, sqrt, tiny, required, guard = (
-            _const(consts, c)
-            for c in (
-                _ATANH_CEILING, atanh_stable, np.log1p, math.sqrt, _TINY, required_iterations,
-                MAX_ITER_GUARD,
-            )
-        )
-        for i, (m, n) in enumerate(zip(ms, ns)):  # t = max(pseudo_hyperbolic(m_i, n_i))
-            body.append(_emit_quotient(m, n, "t" if i == 0 else "q", tiny, sqrt))
-            if i:  # like max, keep the first of equal values
-                body.append(" if q > t:\n  t = q\n")
+        body.append(_emit_step(ms, ns, consts))
+        required, guard = _const(consts, required_iterations), _const(consts, MAX_ITER_GUARD)
         body.append(
-            # t is a quotient of moduli, so only NaN or the guard fails; atanh_stable raises
-            f" if not t < {ceiling}:\n  {atanh}(t)\n"
-            f" step = 0.5 * float({log1p}(2.0 * t / (1.0 - t)))\n append(step)\n"
+            " append(step)\n"
             # theory fixes the count from the first step; the guard absorbs rounding
             " if max_iter is None:\n"
             f"  max_iter = {required}(k, step, tol) + {guard} if step > 0.0 else 1\n"
@@ -225,7 +194,8 @@ def required_iterations(k: float, d0: float, tol: float) -> int:
         return 0
     if k == 0.0:
         return 1
-    ratio = math.log(tol * (1.0 - k) / d0) / math.log(k)
+    # in logs: tol * (1 - k) / d0 can underflow to 0 near the subnormal floor
+    ratio = (math.log(tol) + math.log1p(-k) - math.log(d0)) / math.log(k)
     # back off one ulp-scale before ceiling so exact powers don't round up
     return max(0, math.ceil(ratio - 1e-12))
 

@@ -102,6 +102,27 @@ def _inside(model: tuple[complex, ...], limit: float) -> bool:
     return True
 
 
+# np.abs of a complex array can be 2 ulp from the libm hypot that ``abs`` and np.hypot
+# use; a modulus within this relative band of a limit is taken again with np.hypot.
+_HYPOT_BAND = 1e-12
+
+
+def _below(model: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:
+    """Moduli of the model coordinates ``model`` such that ``moduli < limit`` decides each
+    as :func:`_inside` does, and whether all are below ``limit``: the bulk membership test.
+
+    np.abs, but libm's modulus within ``_HYPOT_BAND`` of the limit and inf for NaN, taken
+    only when some modulus is not well below the limit."""
+    moduli = np.abs(model)
+    inside = moduli < limit * (1.0 - _HYPOT_BAND)
+    if inside.all():
+        return moduli, True
+    near = np.nonzero(~inside & (moduli < limit * (1.0 + _HYPOT_BAND)))
+    moduli[near] = np.hypot(model[near].real, model[near].imag)
+    moduli[np.isnan(moduli)] = np.inf
+    return moduli, bool((moduli < limit).all())
+
+
 def _require_in_disk(z: complex, name: str) -> complex:
     z = _complex(z, name, DomainError)
     if not _inside((z,), 1.0):
@@ -120,10 +141,10 @@ def poincare_distance(z: complex, w: complex) -> float:
 
 # -- generated functions ------------------------------------------------------------
 #
-# A scalar formula is stated once, as source: the quotient (``_emit_quotient``), a
-# domain's pull (``Domain._emit``), each map node's ``_emit`` and ``solve``'s iteration
-# loop.  A function compiled from it takes its constants as parameter defaults or
-# arguments, not as text, so values of equal shape share code.
+# A scalar formula is stated once, as source: the quotient, the loop's membership test
+# and step (``_emit_*``), a domain's pull (``Domain._emit``), each map node's ``_emit``
+# and ``solve``'s loop.  A function compiled from it takes its constants as parameter
+# defaults or arguments, not as text, so values of equal shape share code.
 
 _CODE = weakref.WeakValueDictionary()  # source -> code of the functions that use it
 
@@ -167,6 +188,33 @@ def _emit_quotient(z: str, w: str, out: str, tiny: str, sqrt: str) -> str:
         f" num = dr * dr + di * di\n if num < {tiny}:\n"
         f"  {out} = abs(complex(dr, di)) / abs(complex(er, ei))\n"
         f" else:\n  {out} = {sqrt}(num / (er * er + ei * ei))\n"
+    )
+
+
+def _emit_inside(model: list[str]) -> str:
+    """:func:`_inside` at the limit 1 as an expression of the model coordinates ``model``;
+    a modulus that overflows raises ``OverflowError``, for the caller to count as outside."""
+    return " and ".join(f"abs({m}) < 1.0" for m in model)
+
+
+def _emit_step(ms: list[str], ns: list[str], consts: list) -> str:
+    """Statements setting ``step`` to the distance of two polydisk points whose model
+    coordinates are the float locals ``{m}r, {m}i`` of ``ms`` and ``{n}r, {n}i`` of ``ns``.
+
+    ``t`` is the largest :func:`_emit_quotient` (the first of equal ones, as ``max``
+    keeps), and the step is atanh(t) as :func:`atanh_stable` forms it, which is called
+    to raise its error where ``t`` is NaN or at the guard.  Constants are named by
+    ``_const``.
+    """
+    ceiling, atanh, log1p, sqrt, tiny = (
+        _const(consts, c) for c in (_ATANH_CEILING, atanh_stable, np.log1p, math.sqrt, _TINY)
+    )
+    body = [_emit_quotient(ms[0], ns[0], "t", tiny, sqrt)]
+    for m, n in zip(ms[1:], ns[1:]):
+        body += [_emit_quotient(m, n, "q", tiny, sqrt), " if q > t:\n  t = q\n"]
+    return "".join(body) + (
+        f" if not t < {ceiling}:\n  {atanh}(t)\n"
+        f" step = 0.5 * float({log1p}(2.0 * t / (1.0 - t)))\n"
     )
 
 

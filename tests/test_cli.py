@@ -523,6 +523,21 @@ def test_solve_report(tmp_path, capsys):
     assert report["certified_bound"] <= 1e-11
 
 
+def test_solve_at_the_smallest_tolerance(tmp_path, capsys):
+    # the iteration budget near 5e-324 is counted in logs, so it no longer underflows
+    spec = {
+        "ambient": {"kind": "unit_disk"},
+        "inner": {"kind": "scaled_disk", "radius": 0.5},
+        "map": {"kind": "scale", "factor": 0.4},
+        "start": 0.3,
+        "tolerance": 5e-324,
+    }
+    code, out = _run(capsys, ["solve", "--input", _write(tmp_path / "s.json", spec)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["fixed_point"] == [[0.0, 0.0]] and report["certified_bound"] == 0.0
+
+
 def test_solve_accepts_composed_map_specs(tmp_path, capsys):
     mapping = {
         "kind": "compose",

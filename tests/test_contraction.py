@@ -97,6 +97,14 @@ def test_contraction_constant_rejects_bad_input(bad):
         contraction_constant(bad)
 
 
+def test_contraction_constant_refuses_a_diameter_whose_tanh_rounds_to_one():
+    # tanh(M) rounds to 1 from M of about 19.06; below that k stays < 1
+    assert contraction_constant(18.0) == math.tanh(18.0) < 1.0
+    for M in (20.0, 1e308):
+        with pytest.raises(BoundednessError, match="indistinguishable from 1"):
+            contraction_constant(M)
+
+
 def test_real_arguments_must_be_real_numbers():
     for bad in ("0.5", b"0.5", None, True, 0.5j, 10**400):
         with pytest.raises(StructuralError):

@@ -118,6 +118,20 @@ def test_points_too_large_for_a_double_are_structural_errors():
     assert UnitDisk().contains_many(np.array([0.1, 2**70], dtype=object)).tolist() == [True, False]
 
 
+def test_bool_arrays_are_not_points():
+    # a bulk array is read as ``as_point`` reads a point: bools are refused, not cast
+    for call in (
+        lambda: UnitDisk().contains_many([True, False]),
+        lambda: UnitDisk().contains_many(np.array([0.1, True], dtype=object)),
+        lambda: UnitDisk().caratheodory_many([False], [False]),
+        lambda: UnitDisk().boundary_proximity_many(np.array([True])),
+        lambda: Identity().evaluate_many(np.array([True])),
+        lambda: UnitDisk().contains(True),
+    ):
+        with pytest.raises(StructuralError, match="must be a number|not a scalar"):
+            call()
+
+
 def test_finite_points_whose_modulus_overflows_are_outside():
     huge = 1.3e308 + 1.3e308j  # finite, but its modulus is beyond the float range
     disk = UnitDisk()
@@ -158,6 +172,29 @@ def test_bulk_membership_decides_as_scalar_membership():
             domain._distances(inside, np.zeros_like(inside), ("xs", "ys"), margin)
             with pytest.raises(DomainError, match=r"^xs\[0\]"):
                 domain._distances(outside, np.zeros_like(outside), ("xs", "ys"), margin)
+
+
+@pytest.mark.parametrize(
+    "p", [0.32985406195870925 - 0.9440319368587802j, -0.783814003152143 - 0.6209956589724377j],
+    ids=["outside", "inside"],
+)
+def test_boundary_proximity_obeys_membership_at_the_rim(p):
+    # np.abs and libm's hypot disagree on these two moduli in the last bit: the first is
+    # outside by libm's modulus but below 1 by np.abs, the second the other way round
+    disk = UnitDisk()
+    proximity = disk.boundary_proximity_many([p])[0]
+    assert (proximity >= 1.0) == (not disk.contains(p))
+    margin = image_bound(Affine(((0j,),), (p,)), disk, disk, SampleStream(1, 10)).margin_to_target
+    assert margin <= 0.0 if not disk.contains(p) else margin > 0.0
+
+
+def test_boundary_proximity_of_a_pull_that_overflows_to_nan_is_inf():
+    # A^-1 z is inf - inf here: the point is outside, so its proximity must be >= 1
+    domain = AffineImage(Polydisk((1.0, 1.0)), ((0.1, 0.1), (0.1, -0.1)), (0.0, 0.0))
+    p = (1e308, -1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not domain.contains(p) and domain.contains_many([p]).tolist() == [False]
+        assert domain.boundary_proximity_many([p]).tolist() == [math.inf]
 
 
 def test_sample_stream_validation():

@@ -72,6 +72,16 @@ def test_required_iterations_frozen_examples():
     assert required_iterations(0.5, 1.0, 0.25) == 3
 
 
+def test_required_iterations_near_the_subnormal_floor():
+    # tol * (1 - k) / d0 underflows to 0 here, so the count is formed from logs
+    # and it is the smallest n with k^n * d0 / (1 - k) <= tol, checked in mpmath
+    for k, d0, tol, n in ((0.5, 1.0, 5e-324, 1075), (0.99, 17.0, 5e-324, 74812)):
+        with mp.workprec(256):
+            bound = [mp.mpf(k) ** m * d0 / (1 - mp.mpf(k)) for m in (n - 1, n)]
+            assert bound[0] > tol >= bound[1]
+        assert required_iterations(k, d0, tol) == n
+
+
 def test_required_iterations_zero_when_already_within_bound():
     assert required_iterations(0.8, 1.0, 5.0) == 0
     assert required_iterations(0.8, 1.0, 1.0 / (1 - 0.8)) == 0

@@ -1,5 +1,5 @@
 """Package-level tests: the export rule, the one home of the domain kinds and of the
-membership test, and the README's examples."""
+disk rules, and the README's examples."""
 
 import ast
 import inspect
@@ -69,6 +69,27 @@ def test_only_metric_core_compares_a_modulus_with_one():
             if any(map(is_abs, operands)) and any(map(is_one, operands)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_metric_core_states_the_disk_rules():
+    # bulk membership (``_below``) and the quotient's numpy forms live in ``metric_core``;
+    # a module that names these would state a disk rule a second time
+    numpy_names, constants = {"abs", "hypot", "log1p"}, {"_TINY"}
+    source = pathlib.Path(metric_core.__file__).parent
+    found = set()
+    for path in sorted(source.glob("*.py")):
+        if path.name == "metric_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "np"
+                and node.attr in numpy_names
+                or isinstance(node, ast.Name) and node.id in constants
+                or isinstance(node, ast.alias) and node.name in constants
+            ):
+                found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []
 
 
 def _block(text, lang, after):
